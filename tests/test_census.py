@@ -27,6 +27,12 @@ from edgemagic.census import (
 from edgemagic.generators import generate_mops
 
 MOP4_LINES = [emit_graph6(g) for g in generate_mops(4)]
+MOP4_ROW_JSON = (
+    '{"code":"C}","graph6":"C}","p":4,"q":5,"spectrum":[2],"ks":[0,1,2,3],'
+    '"witnesses":{"2":{"k":2,"p":4,"c":1,"labels":[[0,1,2],[0,2,4],[0,3,3],[1,2,5],[1,3,6]]}},'
+    '"ruled_out":{"0":"search-exhausted","1":"counting-filter","3":"counting-filter"},'
+    '"status":"ok"}'
+)
 
 
 def emit_text(rows, format):
@@ -201,6 +207,13 @@ class TestReports:
         assert payload["witnesses"]["2"]["p"] == 4
         assert row_from_json(row_to_json(rows[0])) == rows[0]
 
+    def test_row_json_bytes_pinned(self, tmp_path):
+        row = run_census(MOP4_LINES)[0]
+        assert row_to_json(row) == MOP4_ROW_JSON
+        store_path = tmp_path / "store.jsonl"
+        CensusStore(store_path).append(row)
+        assert store_path.read_text() == MOP4_ROW_JSON[:-1] + ',"solver_version":"1"}\n'
+
 
 class TestConjecture:
     def test_order_five_holds(self):
@@ -232,6 +245,24 @@ class TestConjecture:
     def test_is_prime(self):
         assert [n for n in range(2, 16) if is_prime(n)] == [2, 3, 5, 7, 11, 13]
         assert not is_prime(1)
+
+    def test_counterexample_reported(self, monkeypatch):
+        target = emit_graph6(generate_mops(7)[2])
+        real = census_mod.classify_detailed
+
+        def dropping_two(g, ks=None):
+            members, witnesses, ruled_out = real(g, ks)
+            if emit_graph6(g) == target:
+                members.discard(2)
+                witnesses.pop(2, None)
+                ruled_out[2] = "search-exhausted"
+            return members, witnesses, ruled_out
+
+        monkeypatch.setattr(census_mod, "classify_detailed", dropping_two)
+        verdict = check_mop_conjecture(7)
+        assert verdict.holds is False
+        assert verdict.checked == 4
+        assert verdict.counterexamples == ((target, ()),)
 
     def test_verdict_matches_census_view(self):
         # holds exactly when a census over the same generator output shows
