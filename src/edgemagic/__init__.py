@@ -15,7 +15,6 @@ from .graphs import (
 )
 from .solver import (
     Q_BRUTE,
-    Q_ENUM,
     KSpectrum,
     Labeling,
     ResidueMultiset,

@@ -2,8 +2,9 @@
 
 A census reads graph6 records, computes the k-EM spectrum (or a fixed list
 of k values) once per isomorphism class, and emits deterministic CSV or
-JSONL reports ordered by canonical code.  Results can be persisted to an
-append-only JSONL store keyed by canonical code and solver version, so
+JSONL reports ordered by canonical code; the prime-order conjecture check is
+one such census.  Each row is appended to an optional JSONL store, keyed by
+canonical code and solver version, as soon as its class is decided, so
 interrupted or repeated runs reuse earlier work instead of recomputing.
 """
 
@@ -12,6 +13,8 @@ from __future__ import annotations
 import concurrent.futures
 import json
 import logging
+import os
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -21,8 +24,8 @@ from .solver import (
     Witness,
     classify_detailed,
     counting_filter,
-    witness_from_json,
-    witness_to_json,
+    witness_from_dict,
+    witness_to_dict,
 )
 from .generators import generate_mops
 
@@ -63,8 +66,8 @@ class ConjectureVerdict:
     filter_admits: tuple[int, ...]
 
 
-def row_to_json(row: CensusRow) -> str:
-    payload = {
+def _row_to_dict(row: CensusRow) -> dict:
+    return {
         "code": row.code,
         "graph6": row.graph6,
         "p": row.p,
@@ -72,21 +75,14 @@ def row_to_json(row: CensusRow) -> str:
         "spectrum": list(row.spectrum),
         "ks": list(row.ks),
         "witnesses": {
-            str(k): json.loads(witness_to_json(w, row.p))
-            for k, w in sorted(row.witnesses.items())
+            str(k): witness_to_dict(w, row.p) for k, w in sorted(row.witnesses.items())
         },
         "ruled_out": {str(k): reason for k, reason in sorted(row.ruled_out.items())},
         "status": row.status,
     }
-    return json.dumps(payload, separators=(",", ":"))
 
 
-def row_from_json(text: str) -> CensusRow:
-    payload = json.loads(text)
-    witnesses = {}
-    for k, wj in payload["witnesses"].items():
-        witness, _ = witness_from_json(json.dumps(wj))
-        witnesses[int(k)] = witness
+def _row_from_dict(payload: dict) -> CensusRow:
     return CensusRow(
         code=payload["code"],
         graph6=payload["graph6"],
@@ -94,17 +90,26 @@ def row_from_json(text: str) -> CensusRow:
         q=payload["q"],
         spectrum=tuple(payload["spectrum"]),
         ks=tuple(payload["ks"]),
-        witnesses=witnesses,
+        witnesses={int(k): witness_from_dict(w)[0] for k, w in payload["witnesses"].items()},
         ruled_out={int(k): reason for k, reason in payload["ruled_out"].items()},
         status=payload["status"],
     )
+
+
+def row_to_json(row: CensusRow) -> str:
+    return json.dumps(_row_to_dict(row), separators=(",", ":"))
+
+
+def row_from_json(text: str) -> CensusRow:
+    return _row_from_dict(json.loads(text))
 
 
 class CensusStore:
     """Append-only JSONL store of census rows; last entry per code wins.
 
     Lines written under a different solver version are ignored on load.
-    Single-writer: callers append completed rows from one thread.
+    Single-writer: callers append completed rows from one thread; a line left
+    unterminated by a crash is closed off before the next append.
     """
 
     def __init__(self, path, solver_version: str = SOLVER_VERSION):
@@ -124,7 +129,7 @@ class CensusStore:
                     payload = json.loads(line)
                     if payload.pop("solver_version", None) != self.solver_version:
                         continue
-                    row = row_from_json(json.dumps(payload))
+                    row = _row_from_dict(payload)
                 except (ValueError, KeyError) as exc:
                     logger.warning("store %s line %d unreadable: %s", self.path, lineno, exc)
                     continue
@@ -132,10 +137,14 @@ class CensusStore:
         return rows
 
     def append(self, row: CensusRow) -> None:
-        payload = json.loads(row_to_json(row))
-        payload["solver_version"] = self.solver_version
-        with self.path.open("a") as fh:
-            fh.write(json.dumps(payload, separators=(",", ":")) + "\n")
+        payload = {**_row_to_dict(row), "solver_version": self.solver_version}
+        line = json.dumps(payload, separators=(",", ":")) + "\n"
+        with self.path.open("ab+") as fh:
+            if fh.seek(0, os.SEEK_END):
+                fh.seek(-1, os.SEEK_END)
+                if fh.read(1) != b"\n":
+                    line = "\n" + line
+            fh.write(line.encode())
 
 
 def _classify_job(args: tuple[Graph, tuple[int, ...]]):
@@ -189,6 +198,7 @@ def run_census(
     are reported with their line number and processing continues; graphs over
     the cap become status-"skipped" rows.  Edgeless graphs, which are k-EM
     for every k with c = 0, are excluded unless ``include_empty`` is set.
+    Each class's row is appended to ``store`` as soon as it is decided.
     """
     if mode not in ("spectrum", "k-list"):
         raise ValueError(f"unknown census mode {mode!r}")
@@ -204,7 +214,8 @@ def run_census(
 
     cached = store.load() if store is not None else {}
     rows: dict[str, CensusRow] = {}
-    pending: list[tuple[CensusRow, Graph, tuple[int, ...], tuple[int, ...]]] = []
+    pending: list[tuple[CensusRow, tuple[int, ...], tuple[int, ...]]] = []
+    work: list[tuple[Graph, tuple[int, ...]]] = []
     scheduled: set[str] = set()
 
     for lineno, line in enumerate(source, 1):
@@ -237,16 +248,14 @@ def run_census(
             rows[code] = _project_row(base, requested)
             continue
         scheduled.add(code)
-        pending.append((base, rep, requested, needed))
+        pending.append((base, requested, needed))
+        work.append((rep, needed))
 
-    if pending:
-        work = [(rep, needed) for _, rep, _, needed in pending]
-        if jobs > 1:
-            with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-                results = list(pool.map(_classify_job, work))
-        else:
-            results = [_classify_job(item) for item in work]
-        for (base, _, requested, needed), outcome in zip(pending, results):
+    parallel = jobs > 1 and len(work) > 1  # a pool for one class is pure overhead
+    with concurrent.futures.ProcessPoolExecutor(jobs) if parallel else nullcontext() as pool:
+        # Both maps yield in submission order, so store order does not depend on jobs.
+        results = pool.map(_classify_job, work) if parallel else map(_classify_job, work)
+        for (base, requested, needed), outcome in zip(pending, results):
             merged = _merge_row(base, needed, *outcome)
             if store is not None:
                 store.append(merged)
@@ -302,7 +311,8 @@ def check_mop_conjecture(p: int, p_max: int = P_MAX, jobs: int = 1) -> Conjectur
 
     The counting filter already forces k = 2 for q = 2p-3 and prime p > 3
     (the admitted set is recorded for cross-checking); the exhaustive census
-    supplies the other direction, a 2-EM witness for every graph.
+    supplies the other direction: a ``run_census`` over the MOPs, in which any
+    class whose spectrum is not (2,) is a counterexample.
     """
     if not is_prime(p):
         raise ValueError(f"order must be prime, got {p}")
@@ -313,23 +323,12 @@ def check_mop_conjecture(p: int, p_max: int = P_MAX, jobs: int = 1) -> Conjectur
     mops = generate_mops(p, p_max=p_max)
     admitted = tuple(k for k in range(p) if counting_filter(mops[0], k))
 
-    work = [(g, tuple(range(p))) for g in mops]
-    if jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_classify_job, work))
-    else:
-        results = [_classify_job(item) for item in work]
-
-    counterexamples = []
-    for g, (members, _, _) in zip(mops, results):
-        if members != {2 % p}:
-            counterexamples.append(
-                (emit_graph6(g), tuple(sorted(members)))
-            )
+    rows = run_census((emit_graph6(g) for g in mops), jobs=jobs, p_max=p_max)
+    counterexamples = tuple((row.graph6, row.spectrum) for row in rows if row.spectrum != (2,))
     return ConjectureVerdict(
         p=p,
         holds=not counterexamples,
-        counterexamples=tuple(counterexamples),
+        counterexamples=counterexamples,
         checked=len(mops),
         filter_admits=admitted,
     )

@@ -4,8 +4,8 @@ Exit codes are a stable contract: 0 success (witness found / conjecture
 holds), 1 negative result (no witness / conjecture fails), 2 usage or input
 error.  Graph streams read standard input when the source argument is "-".
 Caps and defaults fall back to environment variables EDGEMAGIC_P_MAX,
-EDGEMAGIC_P_SPARSE, EDGEMAGIC_Q_BRUTE, EDGEMAGIC_Q_ENUM, EDGEMAGIC_STORE,
-EDGEMAGIC_FORMAT, and EDGEMAGIC_JOBS when the matching flag is not given.
+EDGEMAGIC_P_SPARSE, EDGEMAGIC_STORE, EDGEMAGIC_FORMAT, and EDGEMAGIC_JOBS
+when the matching flag is not given.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .generators import (
     named_family,
 )
 from .graphs import P_MAX, Graph6Error, emit_graph6, parse_graph6
-from .solver import Q_BRUTE, Q_ENUM, classify, is_k_em, witness_to_json
+from .solver import classify, is_k_em, witness_to_json
 
 
 def _env_int(name: str, default: int) -> int:
@@ -40,8 +40,6 @@ class CliConfig:
 
     p_max: int = P_MAX
     p_sparse: int = P_SPARSE
-    q_brute: int = Q_BRUTE
-    q_enum: int = Q_ENUM
     store: str | None = None
     format: str = "csv"
     jobs: int = 1
@@ -51,15 +49,13 @@ class CliConfig:
         return cls(
             p_max=_env_int("EDGEMAGIC_P_MAX", P_MAX),
             p_sparse=_env_int("EDGEMAGIC_P_SPARSE", P_SPARSE),
-            q_brute=_env_int("EDGEMAGIC_Q_BRUTE", Q_BRUTE),
-            q_enum=_env_int("EDGEMAGIC_Q_ENUM", Q_ENUM),
             store=os.environ.get("EDGEMAGIC_STORE") or None,
             format=os.environ.get("EDGEMAGIC_FORMAT") or "csv",
             jobs=_env_int("EDGEMAGIC_JOBS", 1),
         )
 
     def __post_init__(self):
-        for name in ("p_max", "p_sparse", "q_brute", "q_enum"):
+        for name in ("p_max", "p_sparse"):
             if getattr(self, name) < 1:
                 raise ValueError(f"cap {name} must be positive")
         if self.jobs < 1:
@@ -122,10 +118,8 @@ def cmd_census(args, config: CliConfig) -> int:
     mode = args.mode if args.mode else ("k-list" if ks else "spectrum")
     store_path = args.store or config.store
     store = CensusStore(store_path) if store_path else None
-    errors = []
 
     def report_error(lineno, message):
-        errors.append((lineno, message))
         print(f"line {lineno}: {message}", file=sys.stderr)
 
     with _open_source(args.source) as fh:

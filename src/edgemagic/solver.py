@@ -30,8 +30,6 @@ from .graphs import Graph
 
 # Edge-count cap for the no-pruning oracle (q! permutations in the worst case).
 Q_BRUTE = 8
-# Intended edge-count scale for exhaustive witness enumeration.
-Q_ENUM = 12
 
 # Bumped whenever solver output could change; persisted census rows carry it.
 SOLVER_VERSION = "1"
@@ -277,7 +275,7 @@ def enumerate_labelings(g: Graph, k: int, limit: int | None = None) -> list[Witn
 
     Two labelings count as one when they differ only by permuting equal
     residues within a class.  Output is sorted lexicographically by the
-    residue tuple over g.edges; intended for q <= Q_ENUM.
+    residue tuple over g.edges.
     """
     if k < 0:
         raise ValueError(f"base label k must be nonnegative, got {k}")
@@ -360,16 +358,22 @@ def verify_labeling(g: Graph, labeling: Labeling) -> VerifyResult:
 # ---------------------------------------------------------------------------
 
 
-def witness_to_json(witness: Witness, p: int) -> str:
+def witness_to_dict(witness: Witness, p: int) -> dict:
     labels = [
         [u, v, witness.labeling.assignment[(u, v)]]
         for u, v in sorted(witness.labeling.assignment)
     ]
-    payload = {"k": witness.labeling.k, "p": p, "c": witness.c, "labels": labels}
-    return json.dumps(payload, separators=(",", ":"))
+    return {"k": witness.labeling.k, "p": p, "c": witness.c, "labels": labels}
+
+
+def witness_from_dict(payload: dict) -> tuple[Witness, int]:
+    assignment = {(u, v): label for u, v, label in payload["labels"]}
+    return Witness(Labeling(payload["k"], assignment), payload["c"]), payload["p"]
+
+
+def witness_to_json(witness: Witness, p: int) -> str:
+    return json.dumps(witness_to_dict(witness, p), separators=(",", ":"))
 
 
 def witness_from_json(text: str) -> tuple[Witness, int]:
-    payload = json.loads(text)
-    assignment = {(u, v): label for u, v, label in payload["labels"]}
-    return Witness(Labeling(payload["k"], assignment), payload["c"]), payload["p"]
+    return witness_from_dict(json.loads(text))

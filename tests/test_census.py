@@ -168,6 +168,45 @@ class TestStore:
         store_path.write_text("not json\n")
         assert CensusStore(store_path).load() == {}
 
+    def test_torn_line_does_not_swallow_next_row(self, tmp_path):
+        store_path = tmp_path / "store.jsonl"
+        store = CensusStore(store_path)
+        store.append(CensusRow(code="A_", graph6="A_", p=2, q=1, spectrum=(0, 1), ks=(0, 1)))
+        with store_path.open("a") as fh:
+            fh.write('{"code":"B')  # a crash mid-append leaves no newline
+        rows = run_census(MOP4_LINES, store=store)
+        assert set(store.load()) == {"A_", rows[0].code}
+
+    def test_crash_keeps_finished_rows_and_rerun_resumes(self, tmp_path, monkeypatch):
+        lines = [emit_graph6(g) for g in generate_mops(6)]
+        store_path = tmp_path / "store.jsonl"
+        real = census_mod._classify_job
+        started = []
+
+        def crash_on_third(args):
+            started.append(emit_graph6(args[0]))
+            if len(started) == 3:
+                raise RuntimeError("simulated crash")
+            return real(args)
+
+        monkeypatch.setattr(census_mod, "_classify_job", crash_on_third)
+        with pytest.raises(RuntimeError, match="simulated crash"):
+            run_census(lines, store=CensusStore(store_path))
+        finished = CensusStore(store_path).load()
+        assert sorted(finished) == sorted(started[:2])
+
+        resumed = []
+
+        def recording(args):
+            resumed.append(emit_graph6(args[0]))
+            return real(args)
+
+        monkeypatch.setattr(census_mod, "_classify_job", recording)
+        rows = run_census(lines, store=CensusStore(store_path))
+        assert resumed == started[2:]
+        monkeypatch.undo()
+        assert rows == run_census(lines)
+
 
 class TestReports:
     def test_csv_single_k2_row(self):

@@ -94,6 +94,13 @@ class TestGenerate:
         assert main(["generate", "mop", "--p", "4"]) == 2
         assert "positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name, value", [("EDGEMAGIC_Q_ENUM", "abc"),
+                                             ("EDGEMAGIC_Q_BRUTE", "0")])
+    def test_unused_environment_variables_ignored(self, capsys, monkeypatch, name, value):
+        monkeypatch.setenv(name, value)
+        assert main(["solve", K2_RECORD, "--k", "0"]) == 0
+        assert main(["generate", "mop", "--p", "4"]) == 0
+
 
 class TestCensus:
     def test_csv_to_stdout(self, tmp_path, capsys):
