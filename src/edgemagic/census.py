@@ -214,8 +214,7 @@ def run_census(
 
     cached = store.load() if store is not None else {}
     rows: dict[str, CensusRow] = {}
-    pending: list[tuple[CensusRow, tuple[int, ...], tuple[int, ...]]] = []
-    work: list[tuple[Graph, tuple[int, ...]]] = []
+    pending: list[tuple[CensusRow, Graph, tuple[int, ...], tuple[int, ...]]] = []
     scheduled: set[str] = set()
 
     for lineno, line in enumerate(source, 1):
@@ -248,18 +247,23 @@ def run_census(
             rows[code] = _project_row(base, requested)
             continue
         scheduled.add(code)
-        pending.append((base, requested, needed))
-        work.append((rep, needed))
+        pending.append((base, rep, requested, needed))
 
-    parallel = jobs > 1 and len(work) > 1  # a pool for one class is pure overhead
+    work = [(rep, needed) for _, rep, _, needed in pending]
+    parallel = jobs > 1
     with concurrent.futures.ProcessPoolExecutor(jobs) if parallel else nullcontext() as pool:
         # Both maps yield in submission order, so store order does not depend on jobs.
         results = pool.map(_classify_job, work) if parallel else map(_classify_job, work)
-        for (base, requested, needed), outcome in zip(pending, results):
-            merged = _merge_row(base, needed, *outcome)
-            if store is not None:
-                store.append(merged)
-            rows[merged.code] = _project_row(merged, requested)
+        try:
+            for (base, _, requested, needed), outcome in zip(pending, results):
+                merged = _merge_row(base, needed, *outcome)
+                if store is not None:
+                    store.append(merged)
+                rows[merged.code] = _project_row(merged, requested)
+        except BaseException:
+            if parallel:  # else leaving the pool would first run every queued class
+                pool.shutdown(cancel_futures=True)
+            raise
 
     return [rows[code] for code in sorted(rows)]
 
@@ -311,8 +315,7 @@ def check_mop_conjecture(p: int, p_max: int = P_MAX, jobs: int = 1) -> Conjectur
 
     The counting filter already forces k = 2 for q = 2p-3 and prime p > 3
     (the admitted set is recorded for cross-checking); the exhaustive census
-    supplies the other direction: a ``run_census`` over the MOPs, in which any
-    class whose spectrum is not (2,) is a counterexample.
+    supplies the other direction: any MOP class whose spectrum is not (2,).
     """
     if not is_prime(p):
         raise ValueError(f"order must be prime, got {p}")

@@ -1,7 +1,10 @@
 """Census runs, persistence, reports, and the prime-order conjecture check."""
 
+import concurrent.futures
 import io
 import json
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -206,6 +209,27 @@ class TestStore:
         assert resumed == started[2:]
         monkeypatch.undo()
         assert rows == run_census(lines)
+
+    def test_parent_error_cancels_queued_classes(self, tmp_path, monkeypatch):
+        # Threads stand in for worker processes so the test can count the jobs run.
+        lines = [emit_graph6(g) for g in generate_mops(8)]
+        real = census_mod._classify_job
+        started = []
+
+        def slow(args):
+            started.append(args)
+            time.sleep(0.05)
+            return real(args)
+
+        class FullDisk(CensusStore):
+            def append(self, row):
+                raise OSError("disk full")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", ThreadPoolExecutor)
+        monkeypatch.setattr(census_mod, "_classify_job", slow)
+        with pytest.raises(OSError, match="disk full"):
+            run_census(lines, jobs=2, store=FullDisk(tmp_path / "store.jsonl"))
+        assert len(started) < len(lines)
 
 
 class TestReports:
