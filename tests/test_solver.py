@@ -1,6 +1,8 @@
 """Solver, verifier, spectra, and the no-pruning permutation oracle."""
 
+import hashlib
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -327,3 +329,29 @@ class TestSoundnessProperties:
                 by_residue.setdefault(label % g.p, []).append(label)
             for labels in by_residue.values():
                 assert labels == sorted(labels)
+
+
+class TestGoldenPin:
+    # SHA-256 over every MOP witness of orders 4-9 (all k) and every
+    # enumerate_labelings list of 40 seeded random graphs with q <= 8.  Pruning
+    # changes must leave the search order, and so these bytes, untouched.
+    DIGEST = "ddb8881346c11a3a864a2ca16275f0d53dfdf2b18d31b433cbf9ef8957f5e50f"
+
+    def test_witnesses_and_enumerations_unchanged(self):
+        h = hashlib.sha256()
+        for p in range(4, 10):
+            for g in generate_mops(p):
+                for k in range(p):
+                    w = is_k_em(g, k)
+                    h.update((witness_to_json(w, p) if w else "null").encode() + b"\n")
+        rng = random.Random(20120)
+        for _ in range(40):
+            p = rng.randint(3, 7)
+            pairs = [(u, v) for u in range(p) for v in range(u + 1, p)]
+            q = rng.randint(1, min(8, len(pairs)))
+            g = Graph(p, tuple(rng.sample(pairs, q)))
+            for k in range(p):
+                for w in enumerate_labelings(g, k):
+                    h.update(witness_to_json(w, p).encode() + b"\n")
+                h.update(b"--\n")
+        assert h.hexdigest() == self.DIGEST
