@@ -6,6 +6,9 @@ JSONL reports ordered by canonical code; the prime-order conjecture check is
 one such census.  Each row is appended to an optional JSONL store, keyed by
 canonical code and solver version, as soon as its class is decided, so
 interrupted or repeated runs reuse earlier work instead of recomputing.
+Every witness passes ``verify_labeling`` before its row is stored or served:
+a fresh one that fails is a solver fault and stops the run, and a stored one
+that fails is dropped and its residue decided again.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from .solver import (
     Witness,
     classify_detailed,
     counting_filter,
+    verify_labeling,
     witness_from_dict,
     witness_to_dict,
 )
@@ -152,6 +156,41 @@ def _classify_job(args: tuple[Graph, tuple[int, ...]]):
     return classify_detailed(g, ks)
 
 
+def _witness_fault(g: Graph, k: int, witness: Witness | None) -> str | None:
+    """Why ``witness`` fails to prove that g is k-EM, or None when it proves it."""
+    if witness is None:
+        return "no witness"
+    if witness.labeling.k % g.p != k:
+        return f"witness is for k={witness.labeling.k}"
+    try:
+        result = verify_labeling(g, witness.labeling)
+    except ValueError as exc:
+        return str(exc)
+    if not result.valid:
+        return "; ".join(result.violations)
+    if result.c != witness.c:
+        return f"vertex sums are {result.c} mod {g.p}, witness claims {witness.c}"
+    return None
+
+
+def _drop_unproven(row: CensusRow, g: Graph) -> CensusRow:
+    """Forget every stored member whose witness does not verify on g."""
+    bad = set()
+    for k in row.spectrum:
+        fault = _witness_fault(g, k, row.witnesses.get(k))
+        if fault is not None:
+            logger.warning("stored witness for k=%d on %s rejected: %s", k, row.code, fault)
+            bad.add(k)
+    if not bad:
+        return row
+    return replace(
+        row,
+        spectrum=tuple(k for k in row.spectrum if k not in bad),
+        ks=tuple(k for k in row.ks if k not in bad),
+        witnesses={k: w for k, w in row.witnesses.items() if k not in bad},
+    )
+
+
 def _merge_row(cached: CensusRow, ks, members, witnesses, ruled_out) -> CensusRow:
     all_ks = tuple(sorted(set(cached.ks) | set(ks)))
     spectrum = tuple(sorted(set(cached.spectrum) | set(members)))
@@ -241,7 +280,10 @@ def run_census(
         requested = (
             tuple(range(g.p)) if mode == "spectrum" else tuple(sorted({k % g.p for k in ks}))
         )
-        base = cached.get(code, CensusRow(code=code, graph6=code, p=g.p, q=g.q))
+        if code in cached:
+            base = _drop_unproven(cached[code], rep)
+        else:
+            base = CensusRow(code=code, graph6=code, p=g.p, q=g.q)
         needed = tuple(k for k in requested if k not in base.ks)
         if not needed:
             rows[code] = _project_row(base, requested)
@@ -255,8 +297,13 @@ def run_census(
         # Both maps yield in submission order, so store order does not depend on jobs.
         results = pool.map(_classify_job, work) if parallel else map(_classify_job, work)
         try:
-            for (base, _, requested, needed), outcome in zip(pending, results):
-                merged = _merge_row(base, needed, *outcome)
+            for (base, rep, requested, needed), outcome in zip(pending, results):
+                members, witnesses, ruled_out = outcome
+                for k in members:
+                    fault = _witness_fault(rep, k, witnesses.get(k))
+                    if fault is not None:
+                        raise RuntimeError(f"solver witness for k={k} on {base.code}: {fault}")
+                merged = _merge_row(base, needed, members, witnesses, ruled_out)
                 if store is not None:
                     store.append(merged)
                 rows[merged.code] = _project_row(merged, requested)

@@ -5,6 +5,7 @@ import io
 import json
 import time
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import pytest
 
@@ -13,6 +14,7 @@ from edgemagic import (
     emit_graph6,
     graph_from_edges,
     named_family,
+    parse_graph6,
     relabel,
     verify_labeling,
 )
@@ -209,6 +211,46 @@ class TestStore:
         assert resumed == started[2:]
         monkeypatch.undo()
         assert rows == run_census(lines)
+
+    # Edits to the first [u, v, label] entry of the order-5 MOP's k = 2 witness:
+    # a label outside the interval, and edge (0, 1) renamed to the absent (1, 3).
+    @pytest.mark.parametrize("edit", [{2: 99}, {0: 1, 1: 3}], ids=["label-99", "absent-edge"])
+    def test_stored_witness_that_fails_is_redecided(self, tmp_path, caplog, edit):
+        lines = [emit_graph6(g) for g in generate_mops(5)]
+        store_path = tmp_path / "store.jsonl"
+        fresh = run_census(lines, store=CensusStore(store_path))
+        payload = json.loads(store_path.read_text())
+        entry = payload["witnesses"]["2"]["labels"][0]
+        assert entry[:2] == [0, 1]
+        for position, value in edit.items():
+            entry[position] = value
+        store_path.write_text(json.dumps(payload, separators=(",", ":")) + "\n")
+
+        rows = run_census(lines, store=CensusStore(store_path))
+        assert rows == fresh
+        g = parse_graph6(rows[0].code)
+        assert verify_labeling(g, rows[0].witnesses[2].labeling).valid
+        assert "stored witness for k=2" in caplog.text
+        stored = store_path.read_text().splitlines()
+        assert len(stored) == 2  # the corrected row is appended, last wins
+        assert CensusStore(store_path).load()[rows[0].code] == fresh[0]
+
+    def test_solver_witness_that_fails_raises(self, tmp_path, monkeypatch):
+        real = census_mod.classify_detailed
+
+        def corrupting(g, ks=None):
+            members, witnesses, ruled_out = real(g, ks)
+            w = witnesses[2]
+            edge = min(w.labeling.assignment)
+            bad = {**w.labeling.assignment, edge: 99}
+            witnesses[2] = replace(w, labeling=replace(w.labeling, assignment=bad))
+            return members, witnesses, ruled_out
+
+        monkeypatch.setattr(census_mod, "classify_detailed", corrupting)
+        store_path = tmp_path / "store.jsonl"
+        with pytest.raises(RuntimeError, match="solver witness for k=2"):
+            run_census(MOP4_LINES, store=CensusStore(store_path))
+        assert not store_path.exists()
 
     def test_parent_error_cancels_queued_classes(self, tmp_path, monkeypatch):
         # Threads stand in for worker processes so the test can count the jobs run.
