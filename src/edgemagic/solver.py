@@ -10,11 +10,15 @@ of raw labels, and k itself only matters mod p.  Concrete interval labels are
 reconstructed afterwards, per residue class in increasing edge order, so
 returned witnesses are deterministic.
 
-The backtracking solver fixes a candidate constant c, walks edges in a
-breadth-first order chosen so vertices finish early, and abandons a branch
-the moment any finished vertex's sum misses c.  Partial-sum reachability
-against remaining residue supply is deliberately not checked; completion
-pruning alone collapses the search at the orders this package targets.
+The backtracking solver fixes a candidate constant c and walks edges in a
+breadth-first order chosen so vertices finish early; the order and its
+schedule are built once per graph.  An edge that completes a vertex can carry
+only the residue that brings that vertex's sum to c, so no other is tried.
+After each placement a forward check (Haralick and Elliott, 1980) abandons
+the branch when a vertex with one edge left needs a residue the remaining
+supply no longer holds.  Both prunings remove only subtrees without
+solutions, and residues are tried in ascending order, so solutions and
+witnesses come out as a plain depth-first search would give them.
 ``brute_force_is_k_em`` is an independent oracle with no pruning at all,
 meant for cross-checking in tests.
 """
@@ -144,31 +148,64 @@ def _bfs_edge_order(g: Graph) -> list[tuple[int, int]]:
     )
 
 
+@dataclass(frozen=True)
+class _SearchPlan:
+    """Per-graph search schedule, shared by every (k, c) the graph is tried at.
+
+    ``completes[i]`` holds the vertices whose last edge is ``order[i]``;
+    ``one_left[i]`` the vertices with exactly one edge still unplaced once
+    ``order[i]`` is placed (degree-1 vertices count from the start).
+    """
+
+    p: int
+    order: tuple[tuple[int, int], ...]
+    completes: tuple[tuple[int, ...], ...]
+    one_left: tuple[tuple[int, ...], ...]
+    has_isolated: bool
+
+
+def _search_plan(g: Graph) -> _SearchPlan:
+    order = _bfs_edge_order(g)
+    incident: list[list[int]] = [[] for _ in range(g.p)]
+    for i, (u, v) in enumerate(order):
+        incident[u].append(i)
+        incident[v].append(i)
+    completes: list[tuple[int, ...]] = [()] * len(order)
+    one_left: list[tuple[int, ...]] = [()] * len(order)
+    for w, steps in enumerate(incident):
+        if not steps:
+            continue
+        completes[steps[-1]] += (w,)
+        first = steps[-2] if len(steps) > 1 else 0
+        for i in range(first, steps[-1]):
+            one_left[i] += (w,)
+    return _SearchPlan(g.p, tuple(order), tuple(completes), tuple(one_left),
+                       any(not steps for steps in incident))
+
+
 def _magic_residue_solutions(
-    g: Graph, k: int, c: int, limit: int | None
+    plan: _SearchPlan, k: int, c: int, limit: int | None
 ) -> list[dict[tuple[int, int], int]]:
     """All residue assignments (edge -> residue) with every vertex sum = c mod p.
 
     Exhaustive up to permutations within a residue class, which cannot change
     any vertex sum.  Depth-first over edges in completion order, residues
-    ascending, pruning a branch the moment a completed vertex misses c;
-    stops after `limit` solutions when given.
+    ascending; stops after `limit` solutions when given.  Two prunings cut
+    only subtrees that hold no solution, so solutions come out in the same
+    order as a plain ascending search:
+
+    - forced residue: an edge that completes a vertex w can only carry
+      (c - partial[w]) mod p, so that residue alone is tried, and a second
+      vertex completed by the same edge must then also sum to c;
+    - forward check: after each placement, every vertex with exactly one edge
+      left must still find the residue it needs in the remaining supply.
     """
-    p = g.p
-    counts = list(label_residues(k, g.q, p).counts)
-    degs = g.degrees()
-    if any(d == 0 for d in degs) and c != 0:
+    p = plan.p
+    order, completes, one_left = plan.order, plan.completes, plan.one_left
+    if plan.has_isolated and c != 0:
         return []  # an isolated vertex has an empty sum, forcing c = 0
-    order = _bfs_edge_order(g)
-    # A vertex's sum is final once its last incident edge is placed.
-    last_edge = {}
-    for i, (u, v) in enumerate(order):
-        last_edge[u] = i
-        last_edge[v] = i
-    completes_at: list[tuple[int, ...]] = [()] * len(order)
-    for v, i in last_edge.items():
-        completes_at[i] = completes_at[i] + (v,)
-    partial = [0] * g.p
+    counts = list(label_residues(k, len(order), p).counts)
+    partial = [0] * p
     chosen: list[int] = []
     solutions: list[dict[tuple[int, int], int]] = []
 
@@ -177,8 +214,9 @@ def _magic_residue_solutions(
             solutions.append(dict(zip(order, chosen)))
             return limit is not None and len(solutions) >= limit
         u, v = order[i]
-        finished = completes_at[i]
-        for r in range(p):
+        finished = completes[i]
+        waiting = one_left[i]
+        for r in ((c - partial[finished[0]]) % p,) if finished else range(p):
             if counts[r] == 0:
                 continue
             counts[r] -= 1
@@ -188,10 +226,14 @@ def _magic_residue_solutions(
                 if partial[w] % p != c:
                     break
             else:
-                chosen.append(r)
-                if extend(i + 1):
-                    return True
-                chosen.pop()
+                for w in waiting:
+                    if counts[(c - partial[w]) % p] == 0:
+                        break
+                else:
+                    chosen.append(r)
+                    if extend(i + 1):
+                        return True
+                    chosen.pop()
             counts[r] += 1
             partial[u] -= r
             partial[v] -= r
@@ -224,12 +266,16 @@ def is_k_em(g: Graph, k: int) -> Witness | None:
     """Exact k-EM decision: a verified witness if one exists, else None."""
     if k < 0:
         raise ValueError(f"base label k must be nonnegative, got {k}")
+    return _first_witness(g, k, _search_plan(g))
+
+
+def _first_witness(g: Graph, k: int, plan: _SearchPlan) -> Witness | None:
     if g.q == 0:
         return Witness(Labeling(k, {}), 0)  # all vertex sums are empty
     if not counting_filter(g, k):
         return None
     for c in range(g.p):
-        found = _magic_residue_solutions(g, k % g.p, c, limit=1)
+        found = _magic_residue_solutions(plan, k % g.p, c, limit=1)
         if found:
             return _witness_from_residues(g, k, c, found[0])
     return None
@@ -254,6 +300,7 @@ def classify_detailed(
         targets = list(range(g.p))
     else:
         targets = sorted({k % g.p for k in ks})
+    plan = _search_plan(g)
     members: set[int] = set()
     witnesses: dict[int, Witness] = {}
     ruled_out: dict[int, str] = {}
@@ -261,7 +308,7 @@ def classify_detailed(
         if g.q > 0 and not counting_filter(g, k):
             ruled_out[k] = "counting-filter"
             continue
-        w = is_k_em(g, k)
+        w = _first_witness(g, k, plan)
         if w is None:
             ruled_out[k] = "search-exhausted"
         else:
@@ -283,9 +330,10 @@ def enumerate_labelings(g: Graph, k: int, limit: int | None = None) -> list[Witn
         return [Witness(Labeling(k, {}), 0)]
     if not counting_filter(g, k):
         return []
+    plan = _search_plan(g)
     solutions = []
     for c in range(g.p):
-        for residue_map in _magic_residue_solutions(g, k % g.p, c, limit=None):
+        for residue_map in _magic_residue_solutions(plan, k % g.p, c, limit=None):
             key = tuple(residue_map[e] for e in g.edges)
             solutions.append((key, c, residue_map))
     solutions.sort(key=lambda item: item[0])

@@ -26,7 +26,7 @@ from edgemagic import (
     witness_from_json,
     witness_to_json,
 )
-from edgemagic.generators import generate_mops, named_family
+from edgemagic.generators import generate_by_edge_count, generate_mops, named_family
 
 from conftest import graph_strategy, random_graph
 
@@ -34,19 +34,23 @@ MOP4 = graph_from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])
 K2 = graph_from_edges(2, [(0, 1)])
 
 
-def oracle_residue_solution_count(g, k):
-    """Count magic residue assignments by raw permutation, no search machinery."""
+def oracle_residue_solutions(g, k):
+    """Magic residue tuples over g.edges by raw permutation, sorted; no search machinery."""
     counts = label_residues(k, g.q, g.p).counts
     residues = [r for r in range(g.p) for _ in range(counts[r])]
-    valid = 0
+    valid = []
     for perm in set(itertools.permutations(residues)):
         sums = [0] * g.p
         for (u, v), r in zip(g.edges, perm):
             sums[u] += r
             sums[v] += r
         if len({s % g.p for s in sums}) == 1:
-            valid += 1
-    return valid
+            valid.append(perm)
+    return sorted(valid)
+
+
+def oracle_residue_solution_count(g, k):
+    return len(oracle_residue_solutions(g, k))
 
 
 class TestLabelResidues:
@@ -253,6 +257,20 @@ class TestEnumerate:
             checked += 1
             k = rng.randint(0, g.p)
             assert len(enumerate_labelings(g, k)) == oracle_residue_solution_count(g, k)
+
+    @pytest.mark.parametrize("p, q_max", [(1, 0), (2, 1), (3, 3), (4, 6), (5, 7), (6, 6)])
+    def test_residue_lists_match_oracle_on_every_class(self, p, q_max):
+        # Every isomorphism class of order p with q <= q_max edges, every k:
+        # the enumerated residue tuples, in output order, equal the sorted
+        # oracle list, so pruning loses no solution and keeps the order.
+        for q in range(q_max + 1):
+            for g in generate_by_edge_count(p, q):
+                for k in range(p):
+                    found = [
+                        tuple(w.labeling.assignment[e] % p for e in g.edges)
+                        for w in enumerate_labelings(g, k)
+                    ]
+                    assert found == oracle_residue_solutions(g, k), (g, k)
 
 
 class TestBruteForce:
