@@ -1,5 +1,6 @@
 """Triangulation enumeration, MOP and sparse generation, named families."""
 
+import hashlib
 import itertools
 
 import pytest
@@ -106,6 +107,18 @@ class TestGenerateMops:
     def test_too_small(self):
         with pytest.raises(ValueError):
             generate_mops(2)
+
+    # SHA-256 over the graph6 code and edge tuple of every generate_mops(p)
+    # output for p = 3..11, in output order.  Generator rewrites must emit the
+    # same representatives in the same order.
+    DIGEST = "157fe12f21294b8b391173e840aebed0d0c345f18e3204bb68634342f98c9bac"
+
+    def test_golden_digest(self):
+        h = hashlib.sha256()
+        for p in range(3, 12):
+            for g in generate_mops(p, p_max=11):
+                h.update(emit_graph6(g).encode() + b" " + repr(g.edges).encode() + b"\n")
+        assert h.hexdigest() == self.DIGEST
 
 
 class TestGenerateSparse:
