@@ -14,7 +14,7 @@ import argparse
 import os
 import sys
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .census import CensusStore, check_mop_conjecture, report_emit, run_census
 from .generators import (
@@ -128,7 +128,7 @@ def cmd_census(args, config: CliConfig) -> int:
             mode=mode,
             ks=ks,
             store=store,
-            jobs=args.jobs or config.jobs,
+            jobs=config.jobs,
             p_max=config.p_max,
             include_empty=args.include_empty,
             on_error=report_error,
@@ -142,8 +142,8 @@ def cmd_census(args, config: CliConfig) -> int:
 
 
 def cmd_conjecture(args, config: CliConfig) -> int:
-    p_max = args.p_max or max(config.p_max, args.p)
-    verdict = check_mop_conjecture(args.p, p_max=p_max, jobs=args.jobs or config.jobs)
+    p_max = config.p_max if args.p_max is not None else max(config.p_max, args.p)
+    verdict = check_mop_conjecture(args.p, p_max=p_max, jobs=config.jobs)
     if verdict.holds:
         print(f"HOLDS: all {verdict.checked} maximal outerplanar graphs of order "
               f"{verdict.p} have spectrum {{2}}")
@@ -209,7 +209,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         config = CliConfig.from_env()
-        return args.func(args, config)
+        # --jobs and --p-max override the environment and pass the same checks.
+        flags = {name: getattr(args, name) for name in ("jobs", "p_max")
+                 if getattr(args, name, None) is not None}
+        return args.func(args, replace(config, **flags))
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

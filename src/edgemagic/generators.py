@@ -1,11 +1,14 @@
 """Generators for the graph families the census classifies.
 
 Maximal outerplanar graphs (MOPs) of order p >= 3 are exactly the
-triangulations of a convex p-gon, so they are enumerated by recursive
-triangle choice on a fixed base edge (Catalan(p-2) labeled triangulations)
-and deduplicated by canonical form.  Sparse (p, p-h)-graphs come from plain
-edge-subset enumeration over the complete graph.  Named families supply
-standard fixtures.
+triangulations of a convex p-gon, and a MOP's only Hamiltonian cycle is its
+hull, so its isomorphism classes are the triangulations up to rotation and
+reflection.  ``generate_mops`` grows those classes one ear at a time from the
+triangle, keyed by hull degree sequence, and canonicalizes one graph per
+class.  ``triangulations`` enumerates all Catalan(p-2) labeled triangulations
+independently; it is the completeness oracle for the tests.  Sparse
+(p, p-h)-graphs come from plain edge-subset enumeration over the complete
+graph.  Named families supply standard fixtures.
 """
 
 from __future__ import annotations
@@ -80,24 +83,62 @@ def triangulation_to_graph(code: TriangulationCode) -> Graph:
 
 
 def triangulation_count(p: int) -> int:
-    """Size of the raw triangulation stream; a completeness cross-check hook."""
+    """Number of labeled triangulations of the p-gon, counted by enumeration.
+
+    An oracle for tests (it must equal Catalan(p-2)); no generator uses it.
+    """
     return sum(1 for _ in triangulations(p))
+
+
+def _dihedral_min(cyclic: tuple[int, ...]) -> tuple[int, ...]:
+    """The least rotation or reflection of a cyclic sequence."""
+    return min(s[i:] + s[:i] for s in (cyclic, cyclic[::-1]) for i in range(len(cyclic)))
+
+
+def _mop_classes(p: int) -> list[tuple[tuple[int, int], ...]]:
+    """Edges of one labeled MOP per isomorphism class of order p.
+
+    Vertices 0..p-1 run around the hull.  Removing an ear (a degree-2 hull
+    vertex) from an order-(n+1) MOP leaves an order-n MOP, so putting an ear
+    on every hull edge of one MOP per order-n class reaches every
+    order-(n+1) class.  The hull degree sequence fixes a triangulated polygon
+    (Conway & Coxeter 1973), so two MOPs are isomorphic exactly when their
+    sequences agree up to rotation and reflection; the first MOP grown for
+    each such key is kept.
+    """
+    # dihedral key -> (hull degree sequence, edges) of the kept MOP
+    classes = {(2, 2, 2): ((2, 2, 2), ((0, 1), (1, 2), (0, 2)))}
+    for n in range(3, p):
+        grown: dict[tuple[int, ...], tuple] = {}
+        for degrees, edges in classes.values():
+            for i in range(n):
+                # the new vertex i+1 sits between hull vertices i and (i+1) mod n
+                bumped = list(degrees)
+                bumped[i] += 1
+                bumped[(i + 1) % n] += 1
+                ear_degrees = tuple(bumped[: i + 1] + [2] + bumped[i + 1 :])
+                key = _dihedral_min(ear_degrees)
+                if key in grown:
+                    continue
+                shifted = tuple((u + (u > i), v + (v > i)) for u, v in edges)
+                grown[key] = (ear_degrees, shifted + ((i, i + 1), (i + 1, (i + 2) % (n + 1))))
+        classes = grown
+    return [edges for _, edges in classes.values()]
 
 
 def generate_mops(p: int, p_max: int = P_MAX) -> list[Graph]:
     """One canonical representative per isomorphism class of order-p MOPs.
 
-    Every output has q = 2p-3.  Sorted by canonical code.
+    Classes are grown by ear insertion from the triangle, and each class is
+    canonicalized once, so the cap ``p_max`` still applies.  Every output has
+    q = 2p-3.  Sorted by canonical code.
     """
     if p < 3:
         raise ValueError(f"maximal outerplanar graphs need p >= 3, got {p}")
     if p > p_max:
         raise ValueError(f"MOP generation capped at p={p_max} (got p={p}); raise the cap")
-    by_code: dict[bytes, Graph] = {}
-    for code in triangulations(p):
-        rep = canonical_graph(triangulation_to_graph(code), p_max=p_max)
-        by_code.setdefault(emit_graph6(rep).encode("ascii"), rep)
-    return [by_code[key] for key in sorted(by_code)]
+    reps = [canonical_graph(Graph(p, edges), p_max=p_max) for edges in _mop_classes(p)]
+    return sorted(reps, key=emit_graph6)
 
 
 def generate_by_edge_count(

@@ -158,6 +158,13 @@ class TestCensus:
         source.write_text(f"{K2_RECORD}\n")
         assert main(["census", str(source), "--mode", "k-list"]) == 2
 
+    def test_nonpositive_jobs_rejected(self, tmp_path, capsys):
+        source = tmp_path / "graphs.g6"
+        source.write_text(f"{K2_RECORD}\n")
+        assert main(["census", str(source), "--jobs", "-3"]) == 2
+        captured = capsys.readouterr()
+        assert "jobs must be >= 1" in captured.err and captured.out == ""
+
 
 class TestConjecture:
     def test_order_five_holds(self, capsys):
@@ -172,6 +179,14 @@ class TestConjecture:
     def test_not_prime(self, capsys):
         assert main(["conjecture", "6"]) == 2
         assert "prime" in capsys.readouterr().err
+
+    def test_zero_jobs_rejected(self, capsys):
+        assert main(["conjecture", "7", "--jobs", "0"]) == 2
+        assert "jobs must be >= 1" in capsys.readouterr().err
+
+    def test_zero_cap_rejected(self, capsys):
+        assert main(["conjecture", "7", "--p-max", "0"]) == 2
+        assert "p_max must be positive" in capsys.readouterr().err
 
 
 class TestUsage:

@@ -9,6 +9,7 @@ from edgemagic import (
     Graph,
     are_isomorphic,
     canonical_form,
+    canonical_graph,
     emit_graph6,
     graph_from_edges,
     parse_graph6,
@@ -103,6 +104,31 @@ class TestGenerateMops:
         with pytest.raises(ValueError, match="capped"):
             generate_mops(11)
         assert len(generate_mops(11, p_max=11)) == 228
+
+    @pytest.mark.parametrize("p", range(3, 11))
+    def test_matches_triangulation_oracle(self, p):
+        # every labeled triangulation, deduplicated by canonical form
+        by_code = {}
+        for code in triangulations(p):
+            rep = canonical_graph(triangulation_to_graph(code))
+            by_code.setdefault(canonical_form(rep), rep)
+        assert generate_mops(p) == [by_code[key] for key in sorted(by_code)]
+
+    @pytest.mark.parametrize("p,count", [(11, 228), (12, 733), (13, 2282)])
+    def test_class_counts_oeis_a000207(self, p, count):
+        assert len(generate_mops(p, p_max=p)) == count
+
+    def test_one_canonicalization_per_class(self, monkeypatch):
+        import edgemagic.generators as generators
+
+        calls = []
+
+        def counted(g, p_max):
+            calls.append(g)
+            return canonical_graph(g, p_max=p_max)
+
+        monkeypatch.setattr(generators, "canonical_graph", counted)
+        assert len(generate_mops(9)) == len(calls) == 27
 
     def test_too_small(self):
         with pytest.raises(ValueError):
