@@ -1,8 +1,10 @@
 """Census runs, persistence, reports, and the prime-order conjecture check."""
 
 import concurrent.futures
+import hashlib
 import io
 import json
+import random
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
@@ -29,7 +31,7 @@ from edgemagic.census import (
     rows_from_jsonl,
     run_census,
 )
-from edgemagic.generators import generate_mops
+from edgemagic.generators import SparseSpec, generate_mops, generate_sparse_graphs
 
 MOP4_LINES = [emit_graph6(g) for g in generate_mops(4)]
 MOP4_ROW_JSON = (
@@ -376,3 +378,37 @@ class TestConjecture:
         rows = run_census([emit_graph6(g) for g in generate_mops(5)])
         assert verdict.holds == all(row.spectrum == (2,) for row in rows)
         assert verdict.checked == len(rows)
+
+
+class TestGoldenPin:
+    # SHA-256 of the JSONL reports of a cold k-list run (k = 2, 3), a spectrum
+    # merge and a warm rerun on one store, then of the store file.  The input
+    # is every MOP class of orders 4-8, each followed by a seeded relabelled
+    # copy, then every (6, 6-h)-graph for h = 0, 1, 2.  Census and solver
+    # rewrites must leave every byte and the store order untouched.
+    COLD = "2dd0d3f89e71cf39aba5f5ff4642dafe147f7fc3d88c4a1498a73f1b03ad9e51"
+    SPECTRUM = "fd9f4c76af6aec243f14a47527382ac938a82d1def38c34dc622a0eeb167bd38"
+    STORE = "6c30ae5e24db3a2caccdc16696b74b6129d0aa3a47b941a305ce46881ab66634"
+
+    @pytest.fixture(scope="class")
+    def lines(self):
+        rng = random.Random(4105)
+        lines = []
+        for p in range(4, 9):
+            for g in generate_mops(p):
+                perm = list(range(p))
+                rng.shuffle(perm)
+                lines += [emit_graph6(g), emit_graph6(relabel(g, perm))]
+        for h in range(3):
+            lines += [emit_graph6(g) for g in generate_sparse_graphs(SparseSpec(6, h))]
+        return lines
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_cold_merge_warm_reports_and_store(self, tmp_path, lines, jobs):
+        store_path = tmp_path / "store.jsonl"
+        digests = []
+        for options in ({"mode": "k-list", "ks": [2, 3]}, {}, {}):
+            rows = run_census(lines, store=CensusStore(store_path), jobs=jobs, **options)
+            digests.append(hashlib.sha256(emit_text(rows, "jsonl").encode()).hexdigest())
+        digests.append(hashlib.sha256(store_path.read_bytes()).hexdigest())
+        assert digests == [self.COLD, self.SPECTRUM, self.SPECTRUM, self.STORE]
