@@ -7,8 +7,9 @@ one such census.  Each row is appended to an optional JSONL store, keyed by
 canonical code and solver version, as soon as its class is decided, so
 interrupted or repeated runs reuse earlier work instead of recomputing.
 Every witness passes ``verify_labeling`` before its row is stored or served:
-a fresh one that fails is a solver fault and stops the run, and a stored one
-that fails is dropped and its residue decided again.
+a fresh one that fails is a solver fault and stops the run.  A stored residue
+is reused only with a witness that verifies or a recorded reason for its
+exclusion; any other is decided again and the corrected row appended.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import json
 import logging
 import os
 from contextlib import nullcontext
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .graphs import P_MAX, Graph, Graph6Error, canonical_graph, emit_graph6, parse_graph6
@@ -44,7 +45,9 @@ class CensusRow:
 
     ``ks`` lists the residues actually decided (all of 0..p-1 in spectrum
     mode).  ``ruled_out`` records, for each decided non-member, whether the
-    counting filter excluded it or the search was exhausted.  Rows for graphs
+    counting filter excluded it or the search was exhausted, so each residue
+    of ``ks`` has a witness or a reason; a stored residue missing both, or
+    whose witness fails ``verify_labeling``, is not reused.  Rows for graphs
     beyond the configured caps carry status "skipped" and no spectrum.
     """
 
@@ -121,6 +124,7 @@ class CensusStore:
         self.solver_version = solver_version
 
     def load(self) -> dict[str, CensusRow]:
+        """Rows by code; a line that is not a readable row is logged and skipped."""
         rows: dict[str, CensusRow] = {}
         if not self.path.exists():
             return rows
@@ -134,10 +138,10 @@ class CensusStore:
                     if payload.pop("solver_version", None) != self.solver_version:
                         continue
                     row = _row_from_dict(payload)
-                except (ValueError, KeyError) as exc:
+                    rows[row.code] = row
+                except (ValueError, KeyError, TypeError, AttributeError) as exc:
+                    # JSON that is not a row fails on a missing field or a wrong type
                     logger.warning("store %s line %d unreadable: %s", self.path, lineno, exc)
-                    continue
-                rows[row.code] = row
         return rows
 
     def append(self, row: CensusRow) -> None:
@@ -164,7 +168,7 @@ def _witness_fault(g: Graph, k: int, witness: Witness | None) -> str | None:
         return f"witness is for k={witness.labeling.k}"
     try:
         result = verify_labeling(g, witness.labeling)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:  # a stored witness may hold any JSON values
         return str(exc)
     if not result.valid:
         return "; ".join(result.violations)
@@ -173,49 +177,42 @@ def _witness_fault(g: Graph, k: int, witness: Witness | None) -> str | None:
     return None
 
 
-def _drop_unproven(row: CensusRow, g: Graph) -> CensusRow:
-    """Forget every stored member whose witness does not verify on g."""
-    bad = set()
-    for k in row.spectrum:
+def _stored_outcomes(row: CensusRow, g: Graph) -> dict[int, Witness | str]:
+    """Read a stored row as {k: witness or reason}, keeping only what it proves.
+
+    A residue in ``row.ks`` survives with a witness that verifies on g, or
+    with the reason the solver gives when the counting filter rejects k or
+    admits it; any other is left out, so that it is decided again.
+    """
+    outcomes: dict[int, Witness | str] = {}
+    for k in range(g.p):
+        if k not in row.ks:
+            continue
+        reason = None if k in row.spectrum else row.ruled_out.get(k)
+        if reason == ("search-exhausted" if counting_filter(g, k) else "counting-filter"):
+            outcomes[k] = reason
+            continue
         fault = _witness_fault(g, k, row.witnesses.get(k))
-        if fault is not None:
+        if fault is None:
+            outcomes[k] = row.witnesses[k]
+        else:
             logger.warning("stored witness for k=%d on %s rejected: %s", k, row.code, fault)
-            bad.add(k)
-    if not bad:
-        return row
-    return replace(
-        row,
-        spectrum=tuple(k for k in row.spectrum if k not in bad),
-        ks=tuple(k for k in row.ks if k not in bad),
-        witnesses={k: w for k, w in row.witnesses.items() if k not in bad},
-    )
+    return outcomes
 
 
-def _merge_row(cached: CensusRow, ks, members, witnesses, ruled_out) -> CensusRow:
-    all_ks = tuple(sorted(set(cached.ks) | set(ks)))
-    spectrum = tuple(sorted(set(cached.spectrum) | set(members)))
-    merged_witnesses = dict(cached.witnesses)
-    merged_witnesses.update(witnesses)
-    merged_ruled_out = dict(cached.ruled_out)
-    merged_ruled_out.update(ruled_out)
-    return replace(
-        cached,
-        spectrum=spectrum,
-        ks=all_ks,
-        witnesses=merged_witnesses,
-        ruled_out=merged_ruled_out,
-    )
-
-
-def _project_row(row: CensusRow, requested: tuple[int, ...]) -> CensusRow:
-    """Restrict a row's knowledge to the residues this run asked about."""
-    wanted = set(requested)
-    return replace(
-        row,
-        spectrum=tuple(k for k in row.spectrum if k in wanted),
-        ks=requested,
-        witnesses={k: w for k, w in row.witnesses.items() if k in wanted},
-        ruled_out={k: r for k, r in row.ruled_out.items() if k in wanted},
+def _census_row(code: str, g: Graph, outcomes: dict[int, Witness | str], ks) -> CensusRow:
+    """The row of class ``code`` (representative g) over the residues ``ks``."""
+    ks = tuple(sorted(ks))
+    witnesses = {k: outcomes[k] for k in ks if isinstance(outcomes[k], Witness)}
+    return CensusRow(
+        code=code,
+        graph6=code,
+        p=g.p,
+        q=g.q,
+        spectrum=tuple(witnesses),
+        ks=ks,
+        witnesses=witnesses,
+        ruled_out={k: outcomes[k] for k in ks if k not in witnesses},
     )
 
 
@@ -253,8 +250,8 @@ def run_census(
 
     cached = store.load() if store is not None else {}
     rows: dict[str, CensusRow] = {}
-    pending: list[tuple[CensusRow, Graph, tuple[int, ...], tuple[int, ...]]] = []
-    scheduled: set[str] = set()
+    # code -> (representative, decided residues, requested residues, residues to decide)
+    pending: dict[str, tuple] = {}
 
     for lineno, line in enumerate(source, 1):
         record = line.strip()
@@ -275,38 +272,35 @@ def run_census(
             continue
         rep = canonical_graph(g, p_max=p_max)
         code = emit_graph6(rep)
-        if code in rows or code in scheduled:
+        if code in rows or code in pending:
             continue
         requested = (
             tuple(range(g.p)) if mode == "spectrum" else tuple(sorted({k % g.p for k in ks}))
         )
-        if code in cached:
-            base = _drop_unproven(cached[code], rep)
+        outcomes = _stored_outcomes(cached[code], rep) if code in cached else {}
+        needed = tuple(k for k in requested if k not in outcomes)
+        if needed:
+            pending[code] = (rep, outcomes, requested, needed)
         else:
-            base = CensusRow(code=code, graph6=code, p=g.p, q=g.q)
-        needed = tuple(k for k in requested if k not in base.ks)
-        if not needed:
-            rows[code] = _project_row(base, requested)
-            continue
-        scheduled.add(code)
-        pending.append((base, rep, requested, needed))
+            rows[code] = _census_row(code, rep, outcomes, requested)
 
-    work = [(rep, needed) for _, rep, _, needed in pending]
+    work = [(rep, needed) for rep, _, _, needed in pending.values()]
     parallel = jobs > 1
     with concurrent.futures.ProcessPoolExecutor(jobs) if parallel else nullcontext() as pool:
         # Both maps yield in submission order, so store order does not depend on jobs.
         results = pool.map(_classify_job, work) if parallel else map(_classify_job, work)
         try:
-            for (base, rep, requested, needed), outcome in zip(pending, results):
-                members, witnesses, ruled_out = outcome
+            for (code, (rep, outcomes, requested, _)), result in zip(pending.items(), results):
+                members, witnesses, ruled_out = result
                 for k in members:
                     fault = _witness_fault(rep, k, witnesses.get(k))
                     if fault is not None:
-                        raise RuntimeError(f"solver witness for k={k} on {base.code}: {fault}")
-                merged = _merge_row(base, needed, members, witnesses, ruled_out)
+                        raise RuntimeError(f"solver witness for k={k} on {code}: {fault}")
+                    outcomes[k] = witnesses[k]
+                outcomes.update(ruled_out)
                 if store is not None:
-                    store.append(merged)
-                rows[merged.code] = _project_row(merged, requested)
+                    store.append(_census_row(code, rep, outcomes, outcomes))  # all it knows
+                rows[code] = _census_row(code, rep, outcomes, requested)
         except BaseException:
             if parallel:  # else leaving the pool would first run every queued class
                 pool.shutdown(cancel_futures=True)

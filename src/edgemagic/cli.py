@@ -142,8 +142,8 @@ def cmd_census(args, config: CliConfig) -> int:
 
 
 def cmd_conjecture(args, config: CliConfig) -> int:
-    p_max = config.p_max if args.p_max is not None else max(config.p_max, args.p)
-    verdict = check_mop_conjecture(args.p, p_max=p_max, jobs=config.jobs)
+    # The check is exhaustive at exactly order p, so the cap is p itself.
+    verdict = check_mop_conjecture(args.p, p_max=args.p, jobs=config.jobs)
     if verdict.holds:
         print(f"HOLDS: all {verdict.checked} maximal outerplanar graphs of order "
               f"{verdict.p} have spectrum {{2}}")
@@ -197,7 +197,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_conj = sub.add_parser("conjecture", help="check the prime-order MOP spectrum {2}")
     p_conj.add_argument("p", type=int, help="prime order >= 5")
-    p_conj.add_argument("--p-max", type=int, help="raise the generation cap")
     p_conj.add_argument("--jobs", type=int)
     p_conj.set_defaults(func=cmd_conjecture)
 
@@ -209,10 +208,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         config = CliConfig.from_env()
-        # --jobs and --p-max override the environment and pass the same checks.
-        flags = {name: getattr(args, name) for name in ("jobs", "p_max")
-                 if getattr(args, name, None) is not None}
-        return args.func(args, replace(config, **flags))
+        if getattr(args, "jobs", None) is not None:  # passes the same checks as the variable
+            config = replace(config, jobs=args.jobs)
+        return args.func(args, config)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -266,19 +266,21 @@ def is_k_em(g: Graph, k: int) -> Witness | None:
     """Exact k-EM decision: a verified witness if one exists, else None."""
     if k < 0:
         raise ValueError(f"base label k must be nonnegative, got {k}")
-    return _first_witness(g, k, _search_plan(g))
+    outcome = _decide(g, k, _search_plan(g))
+    return outcome if isinstance(outcome, Witness) else None
 
 
-def _first_witness(g: Graph, k: int, plan: _SearchPlan) -> Witness | None:
+def _decide(g: Graph, k: int, plan: _SearchPlan) -> Witness | str:
+    """A witness that g is k-EM, or why not: "counting-filter" or "search-exhausted"."""
     if g.q == 0:
         return Witness(Labeling(k, {}), 0)  # all vertex sums are empty
     if not counting_filter(g, k):
-        return None
+        return "counting-filter"
     for c in range(g.p):
         found = _magic_residue_solutions(plan, k % g.p, c, limit=1)
         if found:
             return _witness_from_residues(g, k, c, found[0])
-    return None
+    return "search-exhausted"
 
 
 def classify(g: Graph) -> KSpectrum:
@@ -305,15 +307,12 @@ def classify_detailed(
     witnesses: dict[int, Witness] = {}
     ruled_out: dict[int, str] = {}
     for k in targets:
-        if g.q > 0 and not counting_filter(g, k):
-            ruled_out[k] = "counting-filter"
-            continue
-        w = _first_witness(g, k, plan)
-        if w is None:
-            ruled_out[k] = "search-exhausted"
-        else:
+        outcome = _decide(g, k, plan)
+        if isinstance(outcome, Witness):
             members.add(k)
-            witnesses[k] = w
+            witnesses[k] = outcome
+        else:
+            ruled_out[k] = outcome
     return members, witnesses, ruled_out
 
 

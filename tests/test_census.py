@@ -215,8 +215,10 @@ class TestStore:
         assert rows == run_census(lines)
 
     # Edits to the first [u, v, label] entry of the order-5 MOP's k = 2 witness:
-    # a label outside the interval, and edge (0, 1) renamed to the absent (1, 3).
-    @pytest.mark.parametrize("edit", [{2: 99}, {0: 1, 1: 3}], ids=["label-99", "absent-edge"])
+    # a label outside the interval, edge (0, 1) renamed to the absent (1, 3),
+    # and a label that is not a number.
+    @pytest.mark.parametrize("edit", [{2: 99}, {0: 1, 1: 3}, {2: "x"}],
+                             ids=["label-99", "absent-edge", "label-string"])
     def test_stored_witness_that_fails_is_redecided(self, tmp_path, caplog, edit):
         lines = [emit_graph6(g) for g in generate_mops(5)]
         store_path = tmp_path / "store.jsonl"
@@ -236,6 +238,52 @@ class TestStore:
         stored = store_path.read_text().splitlines()
         assert len(stored) == 2  # the corrected row is appended, last wins
         assert CensusStore(store_path).load()[rows[0].code] == fresh[0]
+
+    # The order-5 MOP's k = 0 is rejected by the counting filter; its stored
+    # reason is removed, or replaced by the other reason or by a non-reason.
+    @pytest.mark.parametrize("reason", [None, "search-exhausted", 5],
+                             ids=["missing", "wrong", "not-a-reason"])
+    def test_residue_without_witness_or_right_reason_is_redecided(
+        self, tmp_path, monkeypatch, reason
+    ):
+        lines = [emit_graph6(g) for g in generate_mops(5)]
+        store_path = tmp_path / "store.jsonl"
+        fresh = run_census(lines, store=CensusStore(store_path))
+        payload = json.loads(store_path.read_text())
+        assert payload["ks"] == [0, 1, 2, 3, 4]
+        assert payload["ruled_out"].pop("0") == "counting-filter"
+        if reason is not None:
+            payload["ruled_out"]["0"] = reason
+        store_path.write_text(json.dumps(payload, separators=(",", ":")) + "\n")
+
+        seen = []
+        real = census_mod.classify_detailed
+
+        def recording(g, ks=None):
+            seen.append(tuple(ks))
+            return real(g, ks)
+
+        monkeypatch.setattr(census_mod, "classify_detailed", recording)
+        rows = run_census(lines, store=CensusStore(store_path))
+        assert seen == [(0,)]
+        assert rows == fresh
+        assert len(store_path.read_text().splitlines()) == 2
+        assert CensusStore(store_path).load()[rows[0].code] == fresh[0]
+
+    # Lines that are valid JSON but not rows, each stored after a good row.
+    MOP4_STORED = {**json.loads(MOP4_ROW_JSON), "solver_version": "1"}
+
+    @pytest.mark.parametrize("line", [
+        "null", "[1,2]", "5", '"x"',
+        json.dumps({**MOP4_STORED, "witnesses": []}),
+        json.dumps({**MOP4_STORED, "witnesses": {"2": None}}),
+    ], ids=["null", "list", "number", "string", "witnesses-list", "witness-null"])
+    def test_store_line_that_is_not_a_row_is_skipped(self, tmp_path, caplog, line):
+        store_path = tmp_path / "store.jsonl"
+        store_path.write_text(json.dumps(self.MOP4_STORED) + "\n" + line + "\n")
+        row = row_from_json(MOP4_ROW_JSON)
+        assert CensusStore(store_path).load() == {row.code: row}
+        assert "line 2 unreadable" in caplog.text
 
     def test_solver_witness_that_fails_raises(self, tmp_path, monkeypatch):
         real = census_mod.classify_detailed

@@ -1,11 +1,14 @@
 """Command-line surface: outputs and the 0/1/2 exit-status contract."""
 
+import itertools
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
 from edgemagic import emit_graph6, generate_mops, named_family, parse_graph6, verify_labeling
-from edgemagic.cli import main
+from edgemagic.cli import build_parser, main
 from edgemagic.solver import witness_from_json
 
 K2_RECORD = "A_"
@@ -184,9 +187,10 @@ class TestConjecture:
         assert main(["conjecture", "7", "--jobs", "0"]) == 2
         assert "jobs must be >= 1" in capsys.readouterr().err
 
-    def test_zero_cap_rejected(self, capsys):
-        assert main(["conjecture", "7", "--p-max", "0"]) == 2
-        assert "p_max must be positive" in capsys.readouterr().err
+    def test_cap_lifted_to_order(self, capsys, monkeypatch):
+        monkeypatch.setenv("EDGEMAGIC_P_MAX", "5")
+        assert main(["conjecture", "7"]) == 0
+        assert capsys.readouterr().out.startswith("HOLDS: all 4 ")
 
 
 class TestUsage:
@@ -199,3 +203,31 @@ class TestUsage:
         with pytest.raises(SystemExit) as excinfo:
             main(["frobnicate"])
         assert excinfo.value.code == 2
+
+
+def readme_commands():
+    """Each ``edgemagic ...`` command of README's "Command line" code block.
+
+    Pipelines are split at unquoted pipes, and ``[...]`` optional parts dropped.
+    """
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = []
+    for line in block.splitlines():
+        lexer = shlex.shlex(line, posix=True, punctuation_chars="|")
+        lexer.whitespace_split = True
+        words = [w for w in lexer if not (w.startswith("[") and w.endswith("]"))]
+        for is_pipe, command in itertools.groupby(words, key=lambda w: w == "|"):
+            if not is_pipe:
+                commands.append(list(command))
+    return commands
+
+
+class TestReadme:
+    def test_block_found(self):
+        assert len(readme_commands()) > 5
+
+    @pytest.mark.parametrize("words", readme_commands(), ids=" ".join)
+    def test_documented_command_parses(self, words):
+        assert words[0] == "edgemagic"
+        build_parser().parse_args(words[1:])  # exits 2 on an unknown flag
