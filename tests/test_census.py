@@ -460,3 +460,25 @@ class TestGoldenPin:
             digests.append(hashlib.sha256(emit_text(rows, "jsonl").encode()).hexdigest())
         digests.append(hashlib.sha256(store_path.read_bytes()).hexdigest())
         assert digests == [self.COLD, self.SPECTRUM, self.SPECTRUM, self.STORE]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_exact_repeats_change_no_report_or_store_byte(self, tmp_path, lines, jobs):
+        # After each record, with chance 0.7, one earlier record again verbatim.
+        rng = random.Random(6)
+        repeated = []
+        for i, line in enumerate(lines):
+            repeated.append(line)
+            if rng.random() < 0.7:
+                repeated.append(rng.choice(lines[: i + 1]))
+        assert len(repeated) > 1.5 * len(lines)
+
+        outputs = []
+        for name, stream in (("plain", lines), ("repeated", repeated)):
+            store_path = tmp_path / f"{name}.jsonl"
+            texts = [
+                emit_text(run_census(stream, store=CensusStore(store_path), jobs=jobs, **options),
+                          "jsonl")
+                for options in ({"mode": "k-list", "ks": [2, 3]}, {}, {})
+            ]
+            outputs.append(texts + [store_path.read_bytes()])
+        assert outputs[0] == outputs[1]
