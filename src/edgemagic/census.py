@@ -8,8 +8,11 @@ canonical code and solver version, as soon as its class is decided, so
 interrupted or repeated runs reuse earlier work instead of recomputing.
 Every witness passes ``verify_labeling`` before its row is stored or served:
 a fresh one that fails is a solver fault and stops the run.  A stored residue
-is reused only with a witness that verifies or a recorded reason for its
-exclusion; any other is decided again and the corrected row appended.
+is reused only with a witness that verifies or the exclusion reason the
+counting filter implies for it ("counting-filter" where the filter rejects k,
+else "search-exhausted"); any other is decided again and the corrected row
+appended.  Each distinct labelled graph of a stream is canonicalized once per
+run: a record that repeats one read earlier is parsed and then skipped.
 """
 
 from __future__ import annotations
@@ -22,7 +25,15 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .graphs import P_MAX, Graph, Graph6Error, canonical_graph, emit_graph6, parse_graph6
+from .graphs import (
+    GRAPH6_HEADER,
+    P_MAX,
+    Graph,
+    Graph6Error,
+    canonical_graph,
+    emit_graph6,
+    parse_graph6,
+)
 from .solver import (
     SOLVER_VERSION,
     Witness,
@@ -46,8 +57,9 @@ class CensusRow:
     ``ks`` lists the residues actually decided (all of 0..p-1 in spectrum
     mode).  ``ruled_out`` records, for each decided non-member, whether the
     counting filter excluded it or the search was exhausted, so each residue
-    of ``ks`` has a witness or a reason; a stored residue missing both, or
-    whose witness fails ``verify_labeling``, is not reused.  Rows for graphs
+    of ``ks`` has a witness or a reason.  A stored residue is not reused
+    unless its witness passes ``verify_labeling`` or its reason is the one the
+    counting filter implies.  Rows for graphs
     beyond the configured caps carry status "skipped" and no spectrum.
     """
 
@@ -164,11 +176,13 @@ def _witness_fault(g: Graph, k: int, witness: Witness | None) -> str | None:
     """Why ``witness`` fails to prove that g is k-EM, or None when it proves it."""
     if witness is None:
         return "no witness"
+    if type(witness.c) is not int:
+        return f"witness claims c={witness.c!r}, not an integer"
     if witness.labeling.k % g.p != k:
         return f"witness is for k={witness.labeling.k}"
     try:
         result = verify_labeling(g, witness.labeling)
-    except (TypeError, ValueError) as exc:  # a stored witness may hold any JSON values
+    except ValueError as exc:  # a stored witness may label an edge g lacks
         return str(exc)
     if not result.valid:
         return "; ".join(result.violations)
@@ -234,7 +248,9 @@ def run_census(
     are reported with their line number and processing continues; graphs over
     the cap become status-"skipped" rows.  Edgeless graphs, which are k-EM
     for every k with c = 0, are excluded unless ``include_empty`` is set.
-    Each class's row is appended to ``store`` as soon as it is decided.
+    A record of a labelled graph read earlier in the run is parsed and then
+    skipped, so each distinct labelled graph is canonicalized once.  Each
+    class's row is appended to ``store`` as soon as it is decided.
     """
     if mode not in ("spectrum", "k-list"):
         raise ValueError(f"unknown census mode {mode!r}")
@@ -252,6 +268,10 @@ def run_census(
     rows: dict[str, CensusRow] = {}
     # code -> (representative, decided residues, requested residues, residues to decide)
     pending: dict[str, tuple] = {}
+    # Records read so far, header removed.  A record that parses spells exactly
+    # one labelled graph, so this holds each labelled graph once, in far less
+    # memory than the parsed graphs would take.
+    read: set[str] = set()
 
     for lineno, line in enumerate(source, 1):
         record = line.strip()
@@ -262,6 +282,10 @@ def run_census(
         except Graph6Error as exc:
             on_error(lineno, str(exc))
             continue
+        labelled = record.removeprefix(GRAPH6_HEADER)
+        if labelled in read:
+            continue  # handled at its first reading: left out, or in rows or pending
+        read.add(labelled)
         if g.q == 0 and not include_empty:
             continue
         if g.p > p_max:

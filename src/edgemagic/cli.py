@@ -60,6 +60,8 @@ class CliConfig:
                 raise ValueError(f"cap {name} must be positive")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
+        if self.format not in ("csv", "jsonl"):
+            raise ValueError(f"unknown report format {self.format!r}")
 
 
 def _open_source(arg: str):

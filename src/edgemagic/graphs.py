@@ -18,7 +18,7 @@ P_MAX = 10
 # graph6 uses printable ASCII 63..126, six data bits per character.
 _G6_MIN = 63
 _G6_MAX = 126
-_G6_HEADER = ">>graph6<<"
+GRAPH6_HEADER = ">>graph6<<"
 
 
 class Graph6Error(ValueError):
@@ -169,9 +169,7 @@ def emit_graph6(g: Graph) -> str:
 
 def parse_graph6(text: str) -> Graph:
     """Decode one graph6 record, with or without the optional format header."""
-    if text.startswith(_G6_HEADER):
-        text = text[len(_G6_HEADER) :]
-    text = text.rstrip("\n")
+    text = text.removeprefix(GRAPH6_HEADER).rstrip("\n")
     if not text:
         raise Graph6Error("empty graph6 record")
     values = []

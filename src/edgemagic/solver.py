@@ -363,15 +363,25 @@ def brute_force_is_k_em(g: Graph, k: int, q_cap: int = Q_BRUTE) -> Witness | Non
 
 
 def verify_labeling(g: Graph, labeling: Labeling) -> VerifyResult:
-    """Check a labeling independently of any search: bijection + constant sums."""
+    """Check a labeling independently of any search: bijection + constant sums.
+
+    The base label, every label and every edge endpoint must be an ``int``
+    (not a bool, nor a float even of integral value); a labeling that breaks
+    this is invalid.  An edge absent from g raises ``ValueError``.
+    """
     q = g.q
     k = labeling.k
+    violations = [] if type(k) is int else [f"base label k={k!r} is not an integer"]
+    for edge, label in labeling.assignment.items():
+        if any(type(value) is not int for value in (*edge, label)):
+            violations.append(f"edge {edge} labeled {label!r}: not all integers")
+    if violations:
+        return VerifyResult(False, None, violations)
     edge_set = set(g.edges)
     for edge in labeling.assignment:
         if tuple(edge) not in edge_set:
             raise ValueError(f"labeling references edge {edge} absent from the graph")
 
-    violations = []
     missing = [e for e in g.edges if e not in labeling.assignment]
     if missing:
         violations.append(f"unlabeled edges: {missing}")

@@ -83,6 +83,34 @@ class TestRunCensus:
         assert len(rows) == 1
         assert len(errors) == 1 and errors[0][0] == 1
 
+    def test_repeated_unreadable_record_reported_at_each_line(self):
+        errors = []
+        run_census(["garbage(", MOP4_LINES[0], "garbage(", "", "garbage(", MOP4_LINES[0]],
+                   on_error=lambda lineno, msg: errors.append((lineno, msg)))
+        assert [lineno for lineno, _ in errors] == [1, 3, 5]
+        assert len({msg for _, msg in errors}) == 1
+
+    def test_each_labelled_graph_canonicalized_once(self, monkeypatch):
+        mop = generate_mops(6)[0]
+        labelled = [emit_graph6(relabel(mop, perm))
+                    for perm in ([0, 1, 2, 3, 4, 5], [5, 4, 3, 2, 1, 0], [1, 0, 2, 3, 4, 5])]
+        edgeless = emit_graph6(graph_from_edges(3, []))
+        big = emit_graph6(named_family("path", 12))
+        stream = (labelled + ["garbage(", edgeless, big] + labelled[::-1]
+                  + [">>graph6<<" + labelled[1], edgeless, big, "garbage("] + MOP4_LINES * 2)
+        calls = []
+        real = census_mod.canonical_graph
+
+        def counting(g, p_max):
+            calls.append(g)
+            return real(g, p_max=p_max)
+
+        monkeypatch.setattr(census_mod, "canonical_graph", counting)
+        rows = run_census(stream, p_max=10)
+        distinct = {parse_graph6(record) for record in labelled + MOP4_LINES}
+        assert len(calls) == len(distinct) and set(calls) == distinct
+        assert [row.status for row in rows] == ["ok", "ok", "skipped"]
+
     def test_over_cap_rows_marked_skipped(self):
         big = named_family("path", 12)
         rows = run_census([emit_graph6(big)] + MOP4_LINES, p_max=10)
@@ -214,20 +242,23 @@ class TestStore:
         monkeypatch.undo()
         assert rows == run_census(lines)
 
-    # Edits to the first [u, v, label] entry of the order-5 MOP's k = 2 witness:
-    # a label outside the interval, edge (0, 1) renamed to the absent (1, 3),
-    # and a label that is not a number.
-    @pytest.mark.parametrize("edit", [{2: 99}, {0: 1, 1: 3}, {2: "x"}],
-                             ids=["label-99", "absent-edge", "label-string"])
+    # Edits to the first [u, v, label] entry, [0, 1, 5], of the order-5 MOP's
+    # k = 2 witness: a label outside the interval, edge (0, 1) renamed to the
+    # absent (1, 3), a label that is not a number, and the label as a float;
+    # or to the witness's c = 1, as a float.
+    @pytest.mark.parametrize("edit", [{2: 99}, {0: 1, 1: 3}, {2: "x"}, {2: 5.0}, {"c": 1.0}],
+                             ids=["label-99", "absent-edge", "label-string", "label-float",
+                                  "c-float"])
     def test_stored_witness_that_fails_is_redecided(self, tmp_path, caplog, edit):
         lines = [emit_graph6(g) for g in generate_mops(5)]
         store_path = tmp_path / "store.jsonl"
         fresh = run_census(lines, store=CensusStore(store_path))
         payload = json.loads(store_path.read_text())
-        entry = payload["witnesses"]["2"]["labels"][0]
-        assert entry[:2] == [0, 1]
+        witness = payload["witnesses"]["2"]
+        entry = witness["labels"][0]
+        assert entry == [0, 1, 5] and witness["c"] == 1
         for position, value in edit.items():
-            entry[position] = value
+            (witness if position == "c" else entry)[position] = value
         store_path.write_text(json.dumps(payload, separators=(",", ":")) + "\n")
 
         rows = run_census(lines, store=CensusStore(store_path))

@@ -168,6 +168,18 @@ class TestCensus:
         captured = capsys.readouterr()
         assert "jobs must be >= 1" in captured.err and captured.out == ""
 
+    def test_unknown_environment_format_rejected_before_any_work(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        source = tmp_path / "graphs.g6"
+        source.write_text("".join(f"{emit_graph6(g)}\n" for g in generate_mops(7)))
+        store = tmp_path / "store.jsonl"
+        monkeypatch.setenv("EDGEMAGIC_FORMAT", "xml")
+        assert main(["census", str(source), "--store", str(store)]) == 2
+        captured = capsys.readouterr()
+        assert "unknown report format 'xml'" in captured.err and captured.out == ""
+        assert not store.exists()
+
 
 class TestConjecture:
     def test_order_five_holds(self, capsys):
@@ -205,15 +217,19 @@ class TestUsage:
         assert excinfo.value.code == 2
 
 
+def readme_block() -> str:
+    """The shell code block of README's "Command line" section."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+
+
 def readme_commands():
     """Each ``edgemagic ...`` command of README's "Command line" code block.
 
     Pipelines are split at unquoted pipes, and ``[...]`` optional parts dropped.
     """
-    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
     commands = []
-    for line in block.splitlines():
+    for line in readme_block().splitlines():
         lexer = shlex.shlex(line, posix=True, punctuation_chars="|")
         lexer.whitespace_split = True
         words = [w for w in lexer if not (w.startswith("[") and w.endswith("]"))]
@@ -231,3 +247,10 @@ class TestReadme:
     def test_documented_command_parses(self, words):
         assert words[0] == "edgemagic"
         build_parser().parse_args(words[1:])  # exits 2 on an unknown flag
+
+    def test_solve_example_prints_documented_witness(self, capsys):
+        lines = readme_block().splitlines()
+        documented = lines[lines.index("edgemagic solve 'C|' --k 2") + 1]
+        assert documented.startswith("# {")
+        assert main(["solve", "C|", "--k", "2"]) == 0
+        assert capsys.readouterr().out == documented.removeprefix("# ") + "\n"

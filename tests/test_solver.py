@@ -207,6 +207,31 @@ class TestVerifyLabeling:
         with pytest.raises(ValueError, match="absent"):
             verify_labeling(K2, Labeling(0, {(0, 1): 0, (1, 2): 1}))
 
+    # One value of a valid witness retyped.  Floats and bools keep its numeric
+    # value, and the labeling must still be invalid.
+    @pytest.mark.parametrize("part, retype", [
+        ("label", lambda value: "x"),
+        ("label", float),
+        ("endpoint", float),
+        ("endpoint", lambda value: value == 1),
+        ("k", float),
+        ("k", lambda value: True),
+    ], ids=["label-string", "label-float", "endpoint-float", "endpoint-bool", "k-float",
+            "k-bool"])
+    def test_non_integer_value_is_invalid(self, part, retype):
+        w = is_k_em(MOP4, 2)
+        k, assignment = w.labeling.k, dict(w.labeling.assignment)
+        edge = (0, 1)
+        if part == "label":
+            assignment[edge] = retype(assignment[edge])
+        elif part == "endpoint":
+            assignment[tuple(map(retype, edge))] = assignment.pop(edge)
+        else:
+            k = retype(k)
+        result = verify_labeling(MOP4, Labeling(k, assignment))
+        assert not result.valid and result.c is None
+        assert any("integer" in v for v in result.violations)
+
     def test_solver_round_trip(self):
         w = is_k_em(MOP4, 2)
         result = verify_labeling(MOP4, w.labeling)
