@@ -12,7 +12,9 @@ is reused only with a witness that verifies or the exclusion reason the
 counting filter implies for it ("counting-filter" where the filter rejects k,
 else "search-exhausted"); any other is decided again and the corrected row
 appended.  Each distinct labelled graph of a stream is canonicalized once per
-run: a record that repeats one read earlier is parsed and then skipped.
+run: a record that repeats one read earlier is parsed and then skipped.  The
+canonical code decides the class; its canonical graph is built only for a
+class not seen before in the run.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from .graphs import (
     P_MAX,
     Graph,
     Graph6Error,
+    canonical_form,
     canonical_graph,
     emit_graph6,
     parse_graph6,
@@ -249,8 +252,9 @@ def run_census(
     the cap become status-"skipped" rows.  Edgeless graphs, which are k-EM
     for every k with c = 0, are excluded unless ``include_empty`` is set.
     A record of a labelled graph read earlier in the run is parsed and then
-    skipped, so each distinct labelled graph is canonicalized once.  Each
-    class's row is appended to ``store`` as soon as it is decided.
+    skipped, so each distinct labelled graph is canonicalized once, and each
+    class's canonical graph is built once.  Each class's row is appended to
+    ``store`` as soon as it is decided.
     """
     if mode not in ("spectrum", "k-list"):
         raise ValueError(f"unknown census mode {mode!r}")
@@ -294,10 +298,10 @@ def run_census(
                 key, CensusRow(code=key, graph6=key, p=g.p, q=g.q, status="skipped")
             )
             continue
-        rep = canonical_graph(g, p_max=p_max)
-        code = emit_graph6(rep)
+        code = canonical_form(g, p_max=p_max).decode("ascii")
         if code in rows or code in pending:
             continue
+        rep = canonical_graph(g, p_max=p_max)
         requested = (
             tuple(range(g.p)) if mode == "spectrum" else tuple(sorted({k % g.p for k in ks}))
         )

@@ -17,7 +17,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator
 
-from .graphs import P_MAX, Graph, canonical_graph, emit_graph6, is_connected
+from .graphs import P_MAX, Graph, canonical_form, canonical_graph, emit_graph6, is_connected
 
 # Cap for subset enumeration over the complete graph (C(28, q) worst cases).
 P_SPARSE = 8
@@ -147,7 +147,8 @@ def generate_by_edge_count(
     """One canonical representative per isomorphism class with p vertices, q edges.
 
     Enumerates q-subsets of the complete graph's edges and deduplicates by
-    canonical form; returns [] when q exceeds C(p, 2).  Sorted by code.
+    canonical form, building the canonical graph once per class; returns []
+    when q exceeds C(p, 2).  Sorted by code.
     """
     if p < 1 or q < 0:
         raise ValueError(f"need p >= 1 and q >= 0, got p={p}, q={q}")
@@ -161,8 +162,9 @@ def generate_by_edge_count(
         g = Graph(p, subset)
         if connected_only and not is_connected(g):
             continue
-        rep = canonical_graph(g, p_max=p)
-        by_code.setdefault(emit_graph6(rep).encode("ascii"), rep)
+        code = canonical_form(g, p_max=p)
+        if code not in by_code:
+            by_code[code] = canonical_graph(g, p_max=p)
     return [by_code[key] for key in sorted(by_code)]
 
 

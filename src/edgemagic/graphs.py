@@ -2,9 +2,11 @@
 
 Vertices of a graph on ``p`` vertices are the integers ``0..p-1``.  Edges are
 unordered pairs, stored normalized as ``(u, v)`` with ``u < v`` in a sorted
-tuple.  Canonical forms are computed by exhaustive search over degree-refined
-vertex orderings; this is exact and affordable at the small orders the rest
-of the package targets (default cap ``P_MAX = 10``).
+tuple.  Canonical forms come from an exact search over degree-respecting
+vertex orderings that keeps the least graph6 columns; the canonical code is
+read off those columns and the canonical graph is built from them, with no
+relabeled copy in between.  The search is affordable at the small orders the
+rest of the package targets (default cap ``P_MAX = 10``).
 """
 
 from __future__ import annotations
@@ -135,36 +137,50 @@ def is_connected(g: Graph) -> bool:
 # big-endian into 6-bit groups, zero-padded, each group offset by 63.  N(n) is
 # one character (n + 63) for n <= 62, or '~' followed by three characters
 # holding n as 18 bits for 63 <= n <= 258047.
+#
+# Both directions go through one integer holding that bit string, x01 as its
+# most significant bit: column v is the v bits x0v..x(v-1)v.
 # ---------------------------------------------------------------------------
 
 
-def _encode_n(n: int) -> str:
+def _encode_n(n: int) -> bytes:
     if n <= 62:
-        return chr(n + _G6_MIN)
+        return bytes((n + _G6_MIN,))
     if n <= 258047:
-        return "~" + "".join(
-            chr(((n >> shift) & 0x3F) + _G6_MIN) for shift in (12, 6, 0)
-        )
+        return b"~" + bytes(((n >> shift) & 0x3F) + _G6_MIN for shift in (12, 6, 0))
     raise Graph6Error(f"vertex count {n} too large for this encoder")
+
+
+def _record(n: int, bits: int) -> bytes:
+    """The graph6 record of the n-vertex graph whose upper-triangle bits are ``bits``."""
+    nbits = n * (n - 1) // 2
+    pad = -nbits % 6
+    bits <<= pad
+    return _encode_n(n) + bytes(
+        ((bits >> shift) & 0x3F) + _G6_MIN for shift in range(nbits + pad - 6, -1, -6)
+    )
+
+
+def _graph_from_bits(n: int, bits: int) -> Graph:
+    """The n-vertex graph whose upper-triangle bits are ``bits``."""
+    edges = []
+    for v in range(n - 1, 0, -1):  # the last column holds the low bits
+        col = bits & ((1 << v) - 1)
+        bits >>= v
+        while col:
+            low = col & -col
+            edges.append((v - low.bit_length(), v))  # bit t of column v is x(v-1-t)v
+            col ^= low
+    return Graph(n, tuple(edges))
 
 
 def emit_graph6(g: Graph) -> str:
     """Canonical graph6 record for g's labeled adjacency (no header, no newline)."""
-    n = g.p
-    adjacent = set(g.edges)
-    bits = []
-    for v in range(1, n):
-        for u in range(v):
-            bits.append(1 if (u, v) in adjacent else 0)
-    chars = [_encode_n(n)]
-    for i in range(0, len(bits), 6):
-        group = bits[i : i + 6]
-        group += [0] * (6 - len(group))
-        value = 0
-        for b in group:
-            value = (value << 1) | b
-        chars.append(chr(value + _G6_MIN))
-    return "".join(chars)
+    top = g.p * (g.p - 1) // 2 - 1
+    bits = 0
+    for u, v in g.edges:
+        bits |= 1 << (top - v * (v - 1) // 2 - u)
+    return _record(g.p, bits).decode("ascii")
 
 
 def parse_graph6(text: str) -> Graph:
@@ -172,12 +188,10 @@ def parse_graph6(text: str) -> Graph:
     text = text.removeprefix(GRAPH6_HEADER).rstrip("\n")
     if not text:
         raise Graph6Error("empty graph6 record")
-    values = []
-    for ch in text:
-        code = ord(ch)
-        if not (_G6_MIN <= code <= _G6_MAX):
-            raise Graph6Error(f"character {ch!r} out of graph6 range 63..126")
-        values.append(code - _G6_MIN)
+    values = [ord(ch) - _G6_MIN for ch in text]
+    if min(values) < 0 or max(values) > _G6_MAX - _G6_MIN:
+        ch = next(ch for ch in text if not _G6_MIN <= ord(ch) <= _G6_MAX)
+        raise Graph6Error(f"character {ch!r} out of graph6 range 63..126")
 
     if values[0] < 63:
         n = values[0]
@@ -201,21 +215,14 @@ def parse_graph6(text: str) -> Graph:
             f"record length mismatch: n={n} needs {expected_chars} data "
             f"characters, got {len(body)}"
         )
-
-    edges = []
-    index = 0
-    for v in range(1, n):
-        for u in range(v):
-            value = body[index // 6]
-            bit = (value >> (5 - index % 6)) & 1
-            if bit:
-                edges.append((u, v))
-            index += 1
+    bits = 0
+    for value in body:
+        bits = (bits << 6) | value
+    pad = expected_chars * 6 - nbits
     # Padding bits of a well-formed record are zero.
-    for pad in range(nbits, expected_chars * 6):
-        if (body[pad // 6] >> (5 - pad % 6)) & 1:
-            raise Graph6Error("nonzero padding bits")
-    return Graph(n, tuple(edges))
+    if bits & ((1 << pad) - 1):
+        raise Graph6Error("nonzero padding bits")
+    return _graph_from_bits(n, bits >> pad)
 
 
 # ---------------------------------------------------------------------------
@@ -226,77 +233,113 @@ def parse_graph6(text: str) -> Graph:
 # nonincreasing.  Isomorphic graphs search the same space of degree-respecting
 # orderings, hence reach the same minimum; the record pins down the whole
 # labeled adjacency, so distinct classes cannot collide.
+#
+# The search places one vertex per position.  The column of a candidate is its
+# adjacency to the vertices already placed, first placed as most significant
+# bit: exactly the graph6 column that position would get.  Records compare
+# column by column, and every partial ordering completes (the unplaced
+# vertices always carry the remaining degrees), so only the candidates with
+# the least column can lead to the minimum, and a branch whose columns exceed
+# the best record's stops.  The least columns found are the canonical
+# record's bits, so codes are read off the search, and the canonical graph is
+# built from the same bits.
 # ---------------------------------------------------------------------------
 
 
-def _are_twins(masks: list[int], u: int, v: int) -> bool:
-    # Swapping twins is an automorphism, so branching on both is redundant.
-    return masks[u] & ~(1 << v) == masks[v] & ~(1 << u)
-
-
-def _min_ordering(g: Graph) -> list[int]:
+def _canonical_bits(g: Graph, p_max: int) -> int:
+    """Upper-triangle bits of g's canonical relabeling."""
     p = g.p
-    masks = g.adjacency_masks()
-    degs = g.degrees()
-    target = sorted(degs, reverse=True)
+    if p > p_max:
+        raise ValueError(
+            f"canonicalization capped at p={p_max} (got p={p}); raise the cap explicitly"
+        )
+    masks = [0] * p
+    neighbours: list[list[int]] = [[] for _ in range(p)]
+    for u, v in g.edges:
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
+        neighbours[u].append(v)
+        neighbours[v].append(u)
+    by_degree: dict[int, list[int]] = {}
+    # Open and closed neighbourhoods never coincide, so one map holds both.
+    twins: dict[int, int] = {}  # neighbourhood -> vertices that have it
+    for v, mask in enumerate(masks):
+        by_degree.setdefault(len(neighbours[v]), []).append(v)
+        twins[mask] = twins.get(mask, 0) | 1 << v
+        twins[mask | 1 << v] = twins.get(mask | 1 << v, 0) | 1 << v
+    # Swapping twins (vertices with the same neighbours besides each other) is
+    # an automorphism that fixes every other vertex, so of the unplaced
+    # members of a twin class only the lowest is tried.
+    lower_twins = [
+        (twins[mask] | twins[mask | 1 << v]) & ((1 << v) - 1) for v, mask in enumerate(masks)
+    ]
+    # The vertices each position may take, by nonincreasing degree.
+    cells = [by_degree[d] for d in sorted(by_degree, reverse=True) for _ in by_degree[d]]
+    # vals[v] holds v's adjacency to the placed vertices, the one at position
+    # i as bit p-1-i: its column at any position, shifted left by a constant.
+    vals = [0] * p
+    best: list[int] = []  # least shifted columns found, one per position
+    path: list[int] = []  # shifted columns of the current partial ordering
 
-    best_cols: list[int] | None = None
-    best_order: list[int] | None = None
+    def extend(pos: int, unplaced: int, equal: bool) -> bool:
+        """Search below the current ordering; True if it set a new best.
 
-    def extend(placed: list[int], used: int, cols: list[int]) -> None:
-        nonlocal best_cols, best_order
-        pos = len(placed)
-        if pos == p:
-            if best_cols is None or cols < best_cols:
-                best_cols = list(cols)
-                best_order = list(placed)
-            return
-        wanted = target[pos]
-        options = []
-        for v in range(p):
-            if used >> v & 1 or degs[v] != wanted:
+        ``equal`` says that the columns so far equal ``best``'s; otherwise
+        they are less, or no best exists yet.
+        """
+        least = None
+        ties = []
+        for v in cells[pos]:
+            if not unplaced >> v & 1 or lower_twins[v] & unplaced:
                 continue
-            col = 0
-            mask = masks[v]
-            for w in placed:
-                col = (col << 1) | (mask >> w & 1)
-            options.append((col, v))
-        options.sort()
-        tried: list[int] = []
-        for col, v in options:
-            if any(_are_twins(masks, v, u) for u in tried):
-                continue
-            tried.append(v)
-            cols.append(col)
-            if best_cols is None or cols <= best_cols[: len(cols)]:
-                extend(placed + [v], used | 1 << v, cols)
-            cols.pop()
+            val = vals[v]
+            if least is None or val < least:
+                least = val
+                ties = [v]
+            elif val == least:
+                ties.append(v)
+        if equal:
+            if least > best[pos]:
+                return False
+            equal = least == best[pos]
+        path.append(least)
+        improved = False
+        if pos == p - 1:
+            if not equal:  # else the same record again: an automorphism
+                best[:] = path
+                improved = True
+        else:
+            bit = 1 << (p - 1 - pos)
+            for v in ties:
+                for w in neighbours[v]:
+                    vals[w] |= bit
+                if extend(pos + 1, unplaced & ~(1 << v), equal):
+                    improved = equal = True
+                for w in neighbours[v]:
+                    vals[w] ^= bit
+        path.pop()
+        return improved
 
-    extend([], 0, [])
-    assert best_order is not None
-    return best_order
+    extend(0, (1 << p) - 1, False)
+    bits = 0
+    for pos, val in enumerate(best):
+        bits = (bits << pos) | (val >> (p - pos))
+    return bits
 
 
 def canonical_graph(g: Graph, p_max: int = P_MAX) -> Graph:
     """The canonically relabeled copy of g (vertices sorted by nonincreasing degree)."""
-    if g.p > p_max:
-        raise ValueError(
-            f"canonicalization capped at p={p_max} (got p={g.p}); raise the cap explicitly"
-        )
-    order = _min_ordering(g)
-    position = [0] * g.p
-    for pos, v in enumerate(order):
-        position[v] = pos
-    return relabel(g, position)
+    return _graph_from_bits(g.p, _canonical_bits(g, p_max))
 
 
 def canonical_form(g: Graph, p_max: int = P_MAX) -> bytes:
     """Relabeling-invariant byte code identifying g's isomorphism class.
 
     Codes are graph6 records of the canonical relabeling, so they sort by
-    vertex count first and are directly decodable.
+    vertex count first and are directly decodable.  The record is read off
+    the search; no relabeled graph is built.
     """
-    return emit_graph6(canonical_graph(g, p_max=p_max)).encode("ascii")
+    return _record(g.p, _canonical_bits(g, p_max))
 
 
 def are_isomorphic(g: Graph, h: Graph, p_max: int = P_MAX) -> bool:

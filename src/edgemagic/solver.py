@@ -50,8 +50,10 @@ class Labeling:
         if self.k < 0:
             raise ValueError(f"base label k must be nonnegative, got {self.k}")
         normalized = {}
-        for (u, v), label in self.assignment.items():
-            edge = (u, v) if u < v else (v, u)
+        for edge, label in self.assignment.items():
+            u, v = edge
+            if u > v:
+                edge = (v, u)  # an edge already in order is kept, not copied
             if edge in normalized:
                 raise ValueError(f"edge {edge} labeled twice")
             normalized[edge] = label

@@ -98,17 +98,25 @@ class TestRunCensus:
         big = emit_graph6(named_family("path", 12))
         stream = (labelled + ["garbage(", edgeless, big] + labelled[::-1]
                   + [">>graph6<<" + labelled[1], edgeless, big, "garbage("] + MOP4_LINES * 2)
-        calls = []
-        real = census_mod.canonical_graph
+        calls = {"canonical_form": [], "canonical_graph": []}
 
-        def counting(g, p_max):
-            calls.append(g)
-            return real(g, p_max=p_max)
+        def counted(name):
+            real = getattr(census_mod, name)
 
-        monkeypatch.setattr(census_mod, "canonical_graph", counting)
+            def counting(g, p_max):
+                calls[name].append(g)
+                return real(g, p_max=p_max)
+
+            return counting
+
+        for name in calls:
+            monkeypatch.setattr(census_mod, name, counted(name))
         rows = run_census(stream, p_max=10)
         distinct = {parse_graph6(record) for record in labelled + MOP4_LINES}
-        assert len(calls) == len(distinct) and set(calls) == distinct
+        forms = calls["canonical_form"]
+        assert len(forms) == len(distinct) and set(forms) == distinct
+        # one canonical graph per class, built from the first record of it
+        assert calls["canonical_graph"] == [parse_graph6(labelled[0]), parse_graph6(MOP4_LINES[0])]
         assert [row.status for row in rows] == ["ok", "ok", "skipped"]
 
     def test_over_cap_rows_marked_skipped(self):

@@ -114,11 +114,11 @@ class TestGraph6:
         with pytest.raises(Graph6Error, match="zero"):
             parse_graph6("?")
 
-    @given(graphs())
+    @given(graphs(max_p=12))
     def test_round_trip(self, g):
         assert parse_graph6(emit_graph6(g)) == g
 
-    @given(graphs())
+    @given(graphs(max_p=12))
     @settings(max_examples=50)
     def test_matches_networkx_encoding(self, g):
         expected = nx.to_graph6_bytes(to_networkx(g), header=False).decode().strip()
@@ -132,14 +132,14 @@ class TestGraph6:
             assert set(nxg.edges()) == set(g.edges)
             assert nxg.number_of_nodes() == g.p
 
-    def test_long_form_prefix(self):
-        # 63 vertices forces the '~' + 3-character length prefix
-        g = Graph(63, ((0, 62),))
-        record = emit_graph6(g)
-        assert record.startswith("~")
-        assert parse_graph6(record) == g
-        expected = nx.to_graph6_bytes(to_networkx(g), header=False).decode().strip()
-        assert record == expected
+    def test_long_form_prefix(self, rng):
+        # 63 or more vertices force the '~' + 3-character length prefix
+        for g in [Graph(63, ((0, 62),))] + [random_graph(rng, 63, 70) for _ in range(8)]:
+            record = emit_graph6(g)
+            assert record.startswith("~")
+            assert parse_graph6(record) == g
+            expected = nx.to_graph6_bytes(to_networkx(g), header=False).decode().strip()
+            assert record == expected
 
     def test_eight_byte_prefix_rejected(self):
         with pytest.raises(Graph6Error, match="not supported"):
@@ -210,6 +210,20 @@ class TestCanonicalForm:
     def test_single_vertex(self):
         assert canonical_form(Graph(1)) == b"@"
 
+    def test_least_record_over_degree_respecting_relabelings(self, rng):
+        # the definition itself: every labelled graph with p <= 5, and a
+        # seeded sample at p = 6-7
+        every = [
+            Graph(p, subset)
+            for p in range(1, 6)
+            for pairs in [list(itertools.combinations(range(p), 2))]
+            for r in range(len(pairs) + 1)
+            for subset in itertools.combinations(pairs, r)
+        ]
+        assert len(every) == 1 + 2 + 8 + 64 + 1024
+        for g in every + [random_graph(rng, 6, 7) for _ in range(150)]:
+            assert canonical_form(g) == least_degree_respecting_record(g), g
+
     def test_partition_matches_networkx_on_order_four(self):
         # all 64 labeled graphs on 4 vertices: code equality must coincide
         # with VF2 isomorphism on every pair
@@ -233,6 +247,18 @@ class TestCanonicalForm:
             ours = canonical_form(g) == canonical_form(h)
             theirs = nx.is_isomorphic(to_networkx(g), to_networkx(h))
             assert ours == theirs
+
+
+def least_degree_respecting_record(g: Graph) -> bytes:
+    """The least graph6 record over relabelings that leave degrees nonincreasing."""
+    degrees = g.degrees()
+    classes = [[v for v in range(g.p) if degrees[v] == d]
+               for d in sorted(set(degrees), reverse=True)]
+    records = []
+    for parts in itertools.product(*(itertools.permutations(c) for c in classes)):
+        order = [v for part in parts for v in part]
+        records.append(emit_graph6(relabel(g, [order.index(v) for v in range(g.p)])))
+    return min(records).encode()
 
 
 class TestAreIsomorphic:
