@@ -2,10 +2,14 @@
 
 A census reads graph6 records, computes the k-EM spectrum (or a fixed list
 of k values) once per isomorphism class, and emits deterministic CSV or
-JSONL reports ordered by canonical code; the prime-order conjecture check is
-one such census.  Each row is appended to an optional JSONL store, keyed by
-canonical code and solver version, as soon as its class is decided, so
-interrupted or repeated runs reuse earlier work instead of recomputing.
+JSONL reports ordered by canonical code.  It runs in two stages: a dedupe
+stage maps records to classes and serves what the store already proves, and
+a decide stage classifies the rest, in order, on an optional process pool.
+The prime-order conjecture check feeds the generated MOP classes, already
+canonical, straight to the decide stage and keeps only counterexamples.
+Each row is appended to an optional JSONL store, keyed by canonical code and
+solver version, as soon as its class is decided, so interrupted or repeated
+runs reuse earlier work instead of recomputing.
 Every witness passes ``verify_labeling`` before its row is stored or served:
 a fresh one that fails is a solver fault and stops the run.  A stored residue
 is reused only with a witness that verifies or the exclusion reason the
@@ -57,8 +61,8 @@ CSV_HEADER = "graph6,p,q,spectrum"
 class CensusRow:
     """One isomorphism class's census result.
 
-    ``ks`` lists the residues actually decided (all of 0..p-1 in spectrum
-    mode).  ``ruled_out`` records, for each decided non-member, whether the
+    ``ks`` lists the residues actually decided (all of 0..p-1 unless the run
+    was given ks).  ``ruled_out`` records, for each decided non-member, whether the
     counting filter excluded it or the search was exhausted, so each residue
     of ``ks`` has a witness or a reason.  A stored residue is not reused
     unless its witness passes ``verify_labeling`` or its reason is the one the
@@ -233,9 +237,39 @@ def _census_row(code: str, g: Graph, outcomes: dict[int, Witness | str], ks) -> 
     )
 
 
+def _decide_classes(classes, store: CensusStore | None, jobs: int):
+    """Decide each class's missing residues; yield (code, row) in input order.
+
+    ``classes`` holds (code, representative, known outcomes, requested
+    residues).  A fresh witness that fails ``verify_labeling`` stops the run;
+    each row, with all its class knows, is appended to ``store`` once decided.
+    """
+    classes = list(classes)
+    work = [(rep, tuple(k for k in requested if k not in known))
+            for _, rep, known, requested in classes]
+    parallel = jobs > 1
+    with concurrent.futures.ProcessPoolExecutor(jobs) if parallel else nullcontext() as pool:
+        # Both maps yield in submission order, so store order does not depend on jobs.
+        results = pool.map(_classify_job, work) if parallel else map(_classify_job, work)
+        try:
+            for (code, rep, known, requested), result in zip(classes, results):
+                for k, outcome in result.items():
+                    if isinstance(outcome, Witness):
+                        fault = _witness_fault(rep, k, outcome)
+                        if fault is not None:
+                            raise RuntimeError(f"solver witness for k={k} on {code}: {fault}")
+                outcomes = {**known, **result}
+                if store is not None:
+                    store.append(_census_row(code, rep, outcomes, outcomes))
+                yield code, _census_row(code, rep, outcomes, requested)
+        except BaseException:
+            if parallel:  # else leaving the pool would first run every queued class
+                pool.shutdown(cancel_futures=True)
+            raise
+
+
 def run_census(
     source,
-    mode: str = "spectrum",
     ks=None,
     store: CensusStore | None = None,
     jobs: int = 1,
@@ -245,9 +279,9 @@ def run_census(
 ) -> list[CensusRow]:
     """Classify a graph6 stream, one row per isomorphism class, sorted by code.
 
-    ``source`` is any iterable of graph6 lines (blank lines skipped).  In
-    "spectrum" mode every residue 0..p-1 is decided; in "k-list" mode only
-    the residues of ``ks`` (reduced mod each graph's p).  Unreadable records
+    ``source`` is any iterable of graph6 lines (blank lines skipped).  Every
+    residue 0..p-1 is decided when ``ks`` is None, else only the residues of
+    ``ks`` (reduced mod each graph's p).  Unreadable records
     are reported with their line number and processing continues; graphs over
     the cap become status-"skipped" rows.  Edgeless graphs, which are k-EM
     for every k with c = 0, are excluded unless ``include_empty`` is set.
@@ -256,12 +290,10 @@ def run_census(
     class's canonical graph is built once.  Each class's row is appended to
     ``store`` as soon as it is decided.
     """
-    if mode not in ("spectrum", "k-list"):
-        raise ValueError(f"unknown census mode {mode!r}")
-    if mode == "k-list":
+    if ks is not None:
+        ks = list(ks)
         if not ks:
             raise ValueError("k-list mode needs at least one k")
-        ks = list(ks)
         if any(k < 0 for k in ks):
             raise ValueError(f"k values must be nonnegative, got {sorted(ks)}")
     if on_error is None:
@@ -270,7 +302,7 @@ def run_census(
 
     cached = store.load() if store is not None else {}
     rows: dict[str, CensusRow] = {}
-    # code -> (representative, decided residues, requested residues, residues to decide)
+    # code -> (code, representative, decided residues, requested residues)
     pending: dict[str, tuple] = {}
     # Records read so far, header removed.  A record that parses spells exactly
     # one labelled graph, so this holds each labelled graph once, in far less
@@ -302,38 +334,14 @@ def run_census(
         if code in rows or code in pending:
             continue
         rep = canonical_graph(g, p_max=p_max)
-        requested = (
-            tuple(range(g.p)) if mode == "spectrum" else tuple(sorted({k % g.p for k in ks}))
-        )
+        requested = tuple(range(g.p)) if ks is None else tuple(sorted({k % g.p for k in ks}))
         outcomes = _stored_outcomes(cached[code], rep) if code in cached else {}
-        needed = tuple(k for k in requested if k not in outcomes)
-        if needed:
-            pending[code] = (rep, outcomes, requested, needed)
-        else:
+        if all(k in outcomes for k in requested):
             rows[code] = _census_row(code, rep, outcomes, requested)
+        else:
+            pending[code] = (code, rep, outcomes, requested)
 
-    work = [(rep, needed) for rep, _, _, needed in pending.values()]
-    parallel = jobs > 1
-    with concurrent.futures.ProcessPoolExecutor(jobs) if parallel else nullcontext() as pool:
-        # Both maps yield in submission order, so store order does not depend on jobs.
-        results = pool.map(_classify_job, work) if parallel else map(_classify_job, work)
-        try:
-            for (code, (rep, outcomes, requested, _)), result in zip(pending.items(), results):
-                members, witnesses, ruled_out = result
-                for k in members:
-                    fault = _witness_fault(rep, k, witnesses.get(k))
-                    if fault is not None:
-                        raise RuntimeError(f"solver witness for k={k} on {code}: {fault}")
-                    outcomes[k] = witnesses[k]
-                outcomes.update(ruled_out)
-                if store is not None:
-                    store.append(_census_row(code, rep, outcomes, outcomes))  # all it knows
-                rows[code] = _census_row(code, rep, outcomes, requested)
-        except BaseException:
-            if parallel:  # else leaving the pool would first run every queued class
-                pool.shutdown(cancel_futures=True)
-            raise
-
+    rows.update(_decide_classes(pending.values(), store, jobs))
     return [rows[code] for code in sorted(rows)]
 
 
@@ -383,8 +391,9 @@ def check_mop_conjecture(p: int, p_max: int = P_MAX, jobs: int = 1) -> Conjectur
     """Exhaustively test that every MOP of prime order p has spectrum exactly {2}.
 
     The counting filter already forces k = 2 for q = 2p-3 and prime p > 3
-    (the admitted set is recorded for cross-checking); the exhaustive census
-    supplies the other direction: any MOP class whose spectrum is not (2,).
+    (the admitted set is recorded for cross-checking); deciding every residue
+    of every MOP class supplies the other direction: any class whose spectrum
+    is not (2,).  Rows are not kept, and no store is read or written.
     """
     if not is_prime(p):
         raise ValueError(f"order must be prime, got {p}")
@@ -395,8 +404,10 @@ def check_mop_conjecture(p: int, p_max: int = P_MAX, jobs: int = 1) -> Conjectur
     mops = generate_mops(p, p_max=p_max)
     admitted = tuple(k for k in range(p) if counting_filter(mops[0], k))
 
-    rows = run_census((emit_graph6(g) for g in mops), jobs=jobs, p_max=p_max)
-    counterexamples = tuple((row.graph6, row.spectrum) for row in rows if row.spectrum != (2,))
+    # Each generated graph is canonical, so its graph6 record is its class's code.
+    classes = ((emit_graph6(g), g, {}, tuple(range(p))) for g in mops)
+    decided = _decide_classes(classes, None, jobs)
+    counterexamples = tuple((code, row.spectrum) for code, row in decided if row.spectrum != (2,))
     return ConjectureVerdict(
         p=p,
         holds=not counterexamples,

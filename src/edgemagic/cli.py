@@ -31,7 +31,12 @@ from .solver import classify, is_k_em, witness_to_json
 
 def _env_int(name: str, default: int) -> int:
     value = os.environ.get(name)
-    return int(value) if value else default
+    if not value:
+        return default
+    try:
+        return int(value)
+    except ValueError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass
@@ -117,7 +122,10 @@ def cmd_generate(args, config: CliConfig) -> int:
 
 def cmd_census(args, config: CliConfig) -> int:
     ks = [int(part) for part in args.k.split(",")] if args.k else None
-    mode = args.mode if args.mode else ("k-list" if ks else "spectrum")
+    if args.mode == "k-list" and ks is None:
+        raise ValueError("k-list mode needs at least one k")
+    if args.mode == "spectrum" and ks is not None:
+        raise ValueError("spectrum mode decides every k; drop --k or use --mode k-list")
     store_path = args.store or config.store
     store = CensusStore(store_path) if store_path else None
 
@@ -127,7 +135,6 @@ def cmd_census(args, config: CliConfig) -> int:
     with _open_source(args.source) as fh:
         rows = run_census(
             fh,
-            mode=mode,
             ks=ks,
             store=store,
             jobs=config.jobs,

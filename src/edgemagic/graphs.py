@@ -5,8 +5,10 @@ unordered pairs, stored normalized as ``(u, v)`` with ``u < v`` in a sorted
 tuple.  Canonical forms come from an exact search over degree-respecting
 vertex orderings that keeps the least graph6 columns; the canonical code is
 read off those columns and the canonical graph is built from them, with no
-relabeled copy in between.  The search is affordable at the small orders the
-rest of the package targets (default cap ``P_MAX = 10``).
+relabeled copy in between.  The search stops any branch whose columns exceed
+the best found and tries one vertex of each twin class, but its worst case
+still grows factorially, so it refuses graphs over a cap (default
+``P_MAX = 10``) that callers raise explicitly for larger runs.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-# Default cap for canonicalization (brute force over degree classes).
+# Default cap for canonicalization (exact search over degree-respecting orderings).
 P_MAX = 10
 
 # graph6 uses printable ASCII 63..126, six data bits per character.

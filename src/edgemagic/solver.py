@@ -287,35 +287,20 @@ def _decide(g: Graph, k: int, plan: _SearchPlan) -> Witness | str:
 
 def classify(g: Graph) -> KSpectrum:
     """Full spectrum: which residues k in [0, p-1] make g k-EM."""
-    members, _, _ = classify_detailed(g)
-    return KSpectrum(g.p, frozenset(members))
+    outcomes = classify_detailed(g)
+    return KSpectrum(g.p, frozenset(k for k, o in outcomes.items() if isinstance(o, Witness)))
 
 
-def classify_detailed(
-    g: Graph, ks=None
-) -> tuple[set[int], dict[int, Witness], dict[int, str]]:
-    """Decide k-EM status for each requested residue, recording why not.
+def classify_detailed(g: Graph, ks=None) -> dict[int, Witness | str]:
+    """Decide k-EM status for each requested residue: a witness, or why not.
 
     ks defaults to all of 0..p-1; values are reduced mod p.  Returns
-    (members, witness per member, exclusion reason per non-member), where the
-    reason is "counting-filter" or "search-exhausted".
+    {k: outcome} in ascending k, where the outcome is a witness that g is
+    k-EM or the reason it is not, "counting-filter" or "search-exhausted".
     """
-    if ks is None:
-        targets = list(range(g.p))
-    else:
-        targets = sorted({k % g.p for k in ks})
+    targets = range(g.p) if ks is None else sorted({k % g.p for k in ks})
     plan = _search_plan(g)
-    members: set[int] = set()
-    witnesses: dict[int, Witness] = {}
-    ruled_out: dict[int, str] = {}
-    for k in targets:
-        outcome = _decide(g, k, plan)
-        if isinstance(outcome, Witness):
-            members.add(k)
-            witnesses[k] = outcome
-        else:
-            ruled_out[k] = outcome
-    return members, witnesses, ruled_out
+    return {k: _decide(g, k, plan) for k in targets}
 
 
 def enumerate_labelings(g: Graph, k: int, limit: int | None = None) -> list[Witness]:

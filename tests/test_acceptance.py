@@ -110,7 +110,7 @@ def test_criterion_6_fixed_k_census_frozen():
         fixture = (DATA / f"mop_census_k{k}_orders_4_to_9.csv").read_bytes()
         outputs = []
         for _ in range(2):
-            rows = run_census(lines, mode="k-list", ks=[k])
+            rows = run_census(lines, ks=[k])
             path = DATA.parent / f"_tmp_census_k{k}.csv"
             report_emit(rows, "csv", path)
             outputs.append(path.read_bytes())

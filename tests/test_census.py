@@ -23,6 +23,7 @@ from edgemagic import (
 from edgemagic.census import (
     CensusRow,
     CensusStore,
+    ConjectureVerdict,
     check_mop_conjecture,
     is_prime,
     report_emit,
@@ -60,10 +61,15 @@ class TestRunCensus:
 
     def test_mop7_fixed_k3_all_excluded(self):
         lines = [emit_graph6(g) for g in generate_mops(7)]
-        rows = run_census(lines, mode="k-list", ks=[3])
+        rows = run_census(lines, ks=[3])
         assert len(rows) == 4
         assert all(row.spectrum == () for row in rows)
         assert all(row.ruled_out == {3: "counting-filter"} for row in rows)
+
+    def test_ks_alone_selects_residues(self):
+        rows = run_census(MOP4_LINES, ks=[7, 3])
+        assert [row.ks for row in rows] == [(3,)]
+        assert rows[0].ruled_out == {3: "counting-filter"} and rows[0].spectrum == ()
 
     def test_empty_source(self):
         assert run_census([]) == []
@@ -143,12 +149,10 @@ class TestRunCensus:
                 assert (k in row.spectrum) != (k in row.ruled_out)
 
     def test_mode_validation(self):
-        with pytest.raises(ValueError, match="mode"):
-            run_census([], mode="everything")
         with pytest.raises(ValueError, match="at least one"):
-            run_census([], mode="k-list")
+            run_census([], ks=[])
         with pytest.raises(ValueError, match="nonnegative"):
-            run_census([], mode="k-list", ks=[-1])
+            run_census([], ks=[-1])
 
     def test_jobs_parallel_matches_sequential(self):
         lines = [emit_graph6(g) for g in generate_mops(6)]
@@ -177,7 +181,7 @@ class TestStore:
 
     def test_fixed_k_then_full_computes_only_missing(self, tmp_path, monkeypatch):
         store_path = tmp_path / "store.jsonl"
-        run_census(MOP4_LINES, mode="k-list", ks=[2], store=CensusStore(store_path))
+        run_census(MOP4_LINES, ks=[2], store=CensusStore(store_path))
 
         seen = []
         real = census_mod.classify_detailed
@@ -328,12 +332,12 @@ class TestStore:
         real = census_mod.classify_detailed
 
         def corrupting(g, ks=None):
-            members, witnesses, ruled_out = real(g, ks)
-            w = witnesses[2]
+            outcomes = real(g, ks)
+            w = outcomes[2]
             edge = min(w.labeling.assignment)
             bad = {**w.labeling.assignment, edge: 99}
-            witnesses[2] = replace(w, labeling=replace(w.labeling, assignment=bad))
-            return members, witnesses, ruled_out
+            outcomes[2] = replace(w, labeling=replace(w.labeling, assignment=bad))
+            return outcomes
 
         monkeypatch.setattr(census_mod, "classify_detailed", corrupting)
         store_path = tmp_path / "store.jsonl"
@@ -424,6 +428,26 @@ class TestConjecture:
     def test_parallel_matches_sequential(self):
         assert check_mop_conjecture(7, jobs=2) == check_mop_conjecture(7)
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_order_seven_canonicalizes_and_parses_nothing(self, monkeypatch, jobs):
+        calls = []
+
+        def counted(name):
+            real = getattr(census_mod, name)
+
+            def counting(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+
+            return counting
+
+        for name in ("canonical_form", "canonical_graph", "parse_graph6"):
+            monkeypatch.setattr(census_mod, name, counted(name))
+        verdict = check_mop_conjecture(7, jobs=jobs)
+        assert calls == []
+        assert verdict == ConjectureVerdict(
+            p=7, holds=True, counterexamples=(), checked=4, filter_admits=(2,))
+
     def test_not_prime_rejected(self):
         with pytest.raises(ValueError, match="prime"):
             check_mop_conjecture(6)
@@ -445,12 +469,10 @@ class TestConjecture:
         real = census_mod.classify_detailed
 
         def dropping_two(g, ks=None):
-            members, witnesses, ruled_out = real(g, ks)
+            outcomes = real(g, ks)
             if emit_graph6(g) == target:
-                members.discard(2)
-                witnesses.pop(2, None)
-                ruled_out[2] = "search-exhausted"
-            return members, witnesses, ruled_out
+                outcomes[2] = "search-exhausted"
+            return outcomes
 
         monkeypatch.setattr(census_mod, "classify_detailed", dropping_two)
         verdict = check_mop_conjecture(7)
@@ -494,7 +516,7 @@ class TestGoldenPin:
     def test_cold_merge_warm_reports_and_store(self, tmp_path, lines, jobs):
         store_path = tmp_path / "store.jsonl"
         digests = []
-        for options in ({"mode": "k-list", "ks": [2, 3]}, {}, {}):
+        for options in ({"ks": [2, 3]}, {}, {}):
             rows = run_census(lines, store=CensusStore(store_path), jobs=jobs, **options)
             digests.append(hashlib.sha256(emit_text(rows, "jsonl").encode()).hexdigest())
         digests.append(hashlib.sha256(store_path.read_bytes()).hexdigest())
@@ -517,7 +539,7 @@ class TestGoldenPin:
             texts = [
                 emit_text(run_census(stream, store=CensusStore(store_path), jobs=jobs, **options),
                           "jsonl")
-                for options in ({"mode": "k-list", "ks": [2, 3]}, {}, {})
+                for options in ({"ks": [2, 3]}, {}, {})
             ]
             outputs.append(texts + [store_path.read_bytes()])
         assert outputs[0] == outputs[1]

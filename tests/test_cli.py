@@ -1,7 +1,9 @@
 """Command-line surface: outputs and the 0/1/2 exit-status contract."""
 
+import ast
 import itertools
 import json
+import re
 import shlex
 from pathlib import Path
 
@@ -161,6 +163,22 @@ class TestCensus:
         source.write_text(f"{K2_RECORD}\n")
         assert main(["census", str(source), "--mode", "k-list"]) == 2
 
+    def test_spectrum_mode_rejects_k(self, tmp_path, capsys):
+        source = tmp_path / "graphs.g6"
+        source.write_text(f"{K2_RECORD}\n")
+        assert main(["census", str(source), "--mode", "spectrum", "--k", "3"]) == 2
+        captured = capsys.readouterr()
+        assert "--k" in captured.err and captured.out == ""
+
+    def test_non_integer_environment_jobs_named(self, tmp_path, capsys, monkeypatch):
+        source = tmp_path / "graphs.g6"
+        source.write_text(f"{K2_RECORD}\n")
+        monkeypatch.setenv("EDGEMAGIC_JOBS", "abc")
+        assert main(["census", str(source)]) == 2
+        captured = capsys.readouterr()
+        assert "EDGEMAGIC_JOBS" in captured.err and "'abc'" in captured.err
+        assert captured.out == ""
+
     def test_nonpositive_jobs_rejected(self, tmp_path, capsys):
         source = tmp_path / "graphs.g6"
         source.write_text(f"{K2_RECORD}\n")
@@ -217,10 +235,10 @@ class TestUsage:
         assert excinfo.value.code == 2
 
 
-def readme_block() -> str:
-    """The shell code block of README's "Command line" section."""
+def readme_block(section: str = "Command line", language: str = "sh") -> str:
+    """The first ``language`` code block of a README section."""
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    return text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return text.split(f"## {section}", 1)[1].split(f"```{language}\n", 1)[1].split("```", 1)[0]
 
 
 def readme_commands():
@@ -254,3 +272,23 @@ class TestReadme:
         assert documented.startswith("# {")
         assert main(["solve", "C|", "--k", "2"]) == 0
         assert capsys.readouterr().out == documented.removeprefix("# ") + "\n"
+
+    def test_library_example_shows_documented_values(self):
+        # Each commented line's value must print as its comment, "..." matching anything.
+        namespace = {}
+        shown = 0
+        for line in readme_block("Library", "python").splitlines():
+            code, _, documented = line.partition("#")
+            if not code.strip():
+                continue
+            statement = ast.parse(code).body[0]
+            if isinstance(statement, ast.Expr):
+                value = eval(code, namespace)
+            else:
+                exec(code, namespace)
+                value = namespace[statement.targets[0].id] if documented else None
+            if documented:
+                pattern = ".*".join(map(re.escape, documented.strip().split("...")))
+                assert re.fullmatch(pattern, repr(value)), line
+                shown += 1
+        assert shown == 4

@@ -158,14 +158,16 @@ class TestClassify:
             assert classify(g).members == classify(relabel(g, perm)).members
 
     def test_detailed_reasons(self):
-        members, witnesses, ruled_out = classify_detailed(MOP4)
-        assert members == {2} and set(witnesses) == {2}
-        assert ruled_out == {0: "search-exhausted", 1: "counting-filter", 3: "counting-filter"}
+        outcomes = classify_detailed(MOP4)
+        assert list(outcomes) == [0, 1, 2, 3]
+        assert isinstance(outcomes.pop(2), Witness)
+        assert outcomes == {0: "search-exhausted", 1: "counting-filter", 3: "counting-filter"}
 
     def test_detailed_k_subset_reduces_mod_p(self):
-        members, _, ruled_out = classify_detailed(MOP4, ks=[4, 6])
-        assert members == {2}  # 6 = 2 (mod 4)
-        assert ruled_out == {0: "search-exhausted"}
+        outcomes = classify_detailed(MOP4, ks=[6, 4])
+        assert list(outcomes) == [0, 2]
+        assert isinstance(outcomes.pop(2), Witness)  # 6 = 2 (mod 4)
+        assert outcomes == {0: "search-exhausted"}
 
 
 class TestShiftInvariance:
