@@ -43,6 +43,18 @@ MOP4_ROW_JSON = (
 )
 
 
+def record_calls(monkeypatch, names):
+    """Make the census module's functions ``names`` record their first argument."""
+    calls = {name: [] for name in names}
+    for name in names:
+        def recording(first, *args, real=getattr(census_mod, name), seen=calls[name], **kwargs):
+            seen.append(first)
+            return real(first, *args, **kwargs)
+
+        monkeypatch.setattr(census_mod, name, recording)
+    return calls
+
+
 def emit_text(rows, format):
     buffer = io.StringIO()
     report_emit(rows, format, buffer)
@@ -104,19 +116,7 @@ class TestRunCensus:
         big = emit_graph6(named_family("path", 12))
         stream = (labelled + ["garbage(", edgeless, big] + labelled[::-1]
                   + [">>graph6<<" + labelled[1], edgeless, big, "garbage("] + MOP4_LINES * 2)
-        calls = {"canonical_form": [], "canonical_graph": []}
-
-        def counted(name):
-            real = getattr(census_mod, name)
-
-            def counting(g, p_max):
-                calls[name].append(g)
-                return real(g, p_max=p_max)
-
-            return counting
-
-        for name in calls:
-            monkeypatch.setattr(census_mod, name, counted(name))
+        calls = record_calls(monkeypatch, ("canonical_form", "canonical_graph"))
         rows = run_census(stream, p_max=10)
         distinct = {parse_graph6(record) for record in labelled + MOP4_LINES}
         forms = calls["canonical_form"]
@@ -430,21 +430,9 @@ class TestConjecture:
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_order_seven_canonicalizes_and_parses_nothing(self, monkeypatch, jobs):
-        calls = []
-
-        def counted(name):
-            real = getattr(census_mod, name)
-
-            def counting(*args, **kwargs):
-                calls.append(name)
-                return real(*args, **kwargs)
-
-            return counting
-
-        for name in ("canonical_form", "canonical_graph", "parse_graph6"):
-            monkeypatch.setattr(census_mod, name, counted(name))
+        calls = record_calls(monkeypatch, ("canonical_form", "canonical_graph", "parse_graph6"))
         verdict = check_mop_conjecture(7, jobs=jobs)
-        assert calls == []
+        assert calls == {"canonical_form": [], "canonical_graph": [], "parse_graph6": []}
         assert verdict == ConjectureVerdict(
             p=7, holds=True, counterexamples=(), checked=4, filter_admits=(2,))
 
