@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import json
 import random
 
 import pytest
@@ -17,6 +18,7 @@ from edgemagic import (
     classify,
     classify_detailed,
     counting_filter,
+    emit_graph6,
     enumerate_labelings,
     graph_from_edges,
     is_k_em,
@@ -27,6 +29,7 @@ from edgemagic import (
     witness_to_json,
 )
 from edgemagic.generators import generate_by_edge_count, generate_mops, named_family
+from edgemagic.solver import witness_to_dict
 
 from conftest import graph_strategy, random_graph
 
@@ -400,3 +403,27 @@ class TestGoldenPin:
                     h.update(witness_to_json(w, p).encode() + b"\n")
                 h.update(b"--\n")
         assert h.hexdigest() == self.DIGEST
+
+    # SHA-256 over classify_detailed(g), and over two k-lists, for every class
+    # with p | q and p <= 6 and 60 seeded random graphs with p = 7, q in {7, 14}:
+    # each witness_to_dict and each reason, in key order.  When p | q every k
+    # has the same residue multiset, so sharing one search among them must
+    # leave these bytes untouched.
+    DIVISIBLE_DIGEST = "28172073f1ad2cd760ebca4315e36f7c5776901d8a08b29c90ca1cc9bdb35f86"
+
+    def test_divisible_edge_count_outcomes_unchanged(self):
+        graphs = [g for p in range(1, 7) for q in range(0, p * (p - 1) // 2 + 1, p)
+                  for g in generate_by_edge_count(p, q)]
+        rng = random.Random(20129)
+        pairs = list(itertools.combinations(range(7), 2))
+        graphs += [Graph(7, tuple(rng.sample(pairs, rng.choice((7, 14))))) for _ in range(60)]
+        h = hashlib.sha256()
+        for g in graphs:
+            h.update(emit_graph6(g).encode() + b"\n")
+            for ks in (None, [3], [9, 1, 5, 15]):
+                outcomes = classify_detailed(g, ks)
+                h.update(json.dumps([
+                    [k, witness_to_dict(o, g.p) if isinstance(o, Witness) else o]
+                    for k, o in outcomes.items()
+                ]).encode() + b"\n")
+        assert h.hexdigest() == self.DIVISIBLE_DIGEST
