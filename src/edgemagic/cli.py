@@ -120,8 +120,15 @@ def cmd_generate(args, config: CliConfig) -> int:
     return 0
 
 
+def _k_list(text: str) -> list[int]:
+    try:
+        return [int(part) for part in text.split(",")]
+    except ValueError:
+        raise ValueError(f"--k must be comma-separated integers, got {text!r}") from None
+
+
 def cmd_census(args, config: CliConfig) -> int:
-    ks = [int(part) for part in args.k.split(",")] if args.k else None
+    ks = _k_list(args.k) if args.k else None
     if args.mode == "k-list" and ks is None:
         raise ValueError("k-list mode needs at least one k")
     if args.mode == "spectrum" and ks is not None:

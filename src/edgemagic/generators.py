@@ -17,7 +17,15 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator
 
-from .graphs import P_MAX, Graph, canonical_form, canonical_graph, emit_graph6, is_connected
+from .graphs import (
+    P_MAX,
+    Graph,
+    _normalized_graph,
+    canonical_form,
+    canonical_graph,
+    emit_graph6,
+    is_connected,
+)
 
 # Cap for subset enumeration over the complete graph (C(28, q) worst cases).
 P_SPARSE = 8
@@ -159,7 +167,7 @@ def generate_by_edge_count(
         return []
     by_code: dict[bytes, Graph] = {}
     for subset in itertools.combinations(all_pairs, q):
-        g = Graph(p, subset)
+        g = _normalized_graph(p, subset)  # sorted pairs, in sorted order
         if connected_only and not is_connected(g):
             continue
         code = canonical_form(g, p_max=p)

@@ -8,7 +8,9 @@ read off those columns and the canonical graph is built from them, with no
 relabeled copy in between.  The search stops any branch whose columns exceed
 the best found and tries one vertex of each twin class, but its worst case
 still grows factorially, so it refuses graphs over a cap (default
-``P_MAX = 10``) that callers raise explicitly for larger runs.
+``P_MAX = 10``) that callers raise explicitly for larger runs.  Decoded and
+canonical graphs come out of the bits already normalized, so they are built
+without checking or sorting their edges again.
 """
 
 from __future__ import annotations
@@ -82,6 +84,18 @@ class Graph:
         if u > v:
             u, v = v, u
         return (u, v) in set(self.edges)
+
+
+def _normalized_graph(p: int, edges: tuple[tuple[int, int], ...]) -> Graph:
+    """A Graph from edges already normalized, skipping the checks and the sort.
+
+    ``edges`` must be distinct in-range pairs (u, v) with u < v, sorted; only
+    code that builds them so by construction may call this.
+    """
+    g = object.__new__(Graph)
+    object.__setattr__(g, "p", p)
+    object.__setattr__(g, "edges", edges)
+    return g
 
 
 def graph_from_edges(p: int, edges) -> Graph:
@@ -164,7 +178,7 @@ def _record(n: int, bits: int) -> bytes:
 
 
 def _graph_from_bits(n: int, bits: int) -> Graph:
-    """The n-vertex graph whose upper-triangle bits are ``bits``."""
+    """The n-vertex graph whose upper-triangle bits are ``bits``, edges sorted by (u, v)."""
     edges = []
     for v in range(n - 1, 0, -1):  # the last column holds the low bits
         col = bits & ((1 << v) - 1)
@@ -173,7 +187,7 @@ def _graph_from_bits(n: int, bits: int) -> Graph:
             low = col & -col
             edges.append((v - low.bit_length(), v))  # bit t of column v is x(v-1-t)v
             col ^= low
-    return Graph(n, tuple(edges))
+    return _normalized_graph(n, tuple(sorted(edges)))
 
 
 def emit_graph6(g: Graph) -> str:

@@ -6,7 +6,9 @@ vertex's incident label sum is congruent to one constant c modulo p.
 
 Because vertex sums are taken mod p, only label residues matter: the search
 assigns residues drawn from the multiset {k mod p, ..., (k+q-1) mod p} instead
-of raw labels, and k itself only matters mod p.  Concrete interval labels are
+of raw labels, and k itself only matters mod p.  Residues k with equal
+multisets share one search: when p divides q every k has the same multiset,
+so such a graph is k-EM for every k or for none.  Concrete interval labels are
 reconstructed afterwards, per residue class in increasing edge order, so
 returned witnesses are deterministic.
 
@@ -268,21 +270,34 @@ def is_k_em(g: Graph, k: int) -> Witness | None:
     """Exact k-EM decision: a verified witness if one exists, else None."""
     if k < 0:
         raise ValueError(f"base label k must be nonnegative, got {k}")
-    outcome = _decide(g, k, _search_plan(g))
+    outcome = _decide(g, k, _search_plan(g), {})
     return outcome if isinstance(outcome, Witness) else None
 
 
-def _decide(g: Graph, k: int, plan: _SearchPlan) -> Witness | str:
-    """A witness that g is k-EM, or why not: "counting-filter" or "search-exhausted"."""
+def _first_solution(plan: _SearchPlan, k: int) -> tuple[int, dict[tuple[int, int], int]] | None:
+    """The first (c, residue map) the search finds at base label k, or None."""
+    for c in range(plan.p):
+        found = _magic_residue_solutions(plan, k, c, limit=1)
+        if found:
+            return c, found[0]
+    return None
+
+
+def _decide(g: Graph, k: int, plan: _SearchPlan, searches: dict) -> Witness | str:
+    """A witness that g is k-EM, or why not: "counting-filter" or "search-exhausted".
+
+    The search sees k only through its residue multiset, so ``searches`` keeps
+    each multiset's result (see ``_first_solution``) for every k that shares it.
+    """
     if g.q == 0:
         return Witness(Labeling(k, {}), 0)  # all vertex sums are empty
     if not counting_filter(g, k):
         return "counting-filter"
-    for c in range(g.p):
-        found = _magic_residue_solutions(plan, k % g.p, c, limit=1)
-        if found:
-            return _witness_from_residues(g, k, c, found[0])
-    return "search-exhausted"
+    counts = label_residues(k, g.q, g.p).counts
+    if counts not in searches:
+        searches[counts] = _first_solution(plan, k % g.p)
+    found = searches[counts]
+    return "search-exhausted" if found is None else _witness_from_residues(g, k, *found)
 
 
 def classify(g: Graph) -> KSpectrum:
@@ -294,13 +309,19 @@ def classify(g: Graph) -> KSpectrum:
 def classify_detailed(g: Graph, ks=None) -> dict[int, Witness | str]:
     """Decide k-EM status for each requested residue: a witness, or why not.
 
-    ks defaults to all of 0..p-1; values are reduced mod p.  Returns
-    {k: outcome} in ascending k, where the outcome is a witness that g is
-    k-EM or the reason it is not, "counting-filter" or "search-exhausted".
+    ks defaults to all of 0..p-1; values must be nonnegative and are reduced
+    mod p.  Returns {k: outcome} in ascending k, where the outcome is a witness
+    that g is k-EM or the reason it is not, "counting-filter" or
+    "search-exhausted".  Residues whose label residue multisets are equal share
+    one search.  When p divides q every k has the same multiset, so such a
+    graph is k-EM for every k or for none.
     """
-    targets = range(g.p) if ks is None else sorted({k % g.p for k in ks})
+    ks = range(g.p) if ks is None else list(ks)
+    if ks and min(ks) < 0:
+        raise ValueError(f"base label k must be nonnegative, got {min(ks)}")
     plan = _search_plan(g)
-    return {k: _decide(g, k, plan) for k in targets}
+    searches: dict = {}
+    return {k: _decide(g, k, plan, searches) for k in sorted({k % g.p for k in ks})}
 
 
 def enumerate_labelings(g: Graph, k: int, limit: int | None = None) -> list[Witness]:

@@ -35,6 +35,18 @@ def random_permutation(rng: random.Random, p: int) -> list[int]:
     return perm
 
 
+def record_calls(monkeypatch, module, names):
+    """Make ``module``'s functions ``names`` record their first argument."""
+    calls = {name: [] for name in names}
+    for name in names:
+        def recording(first, *args, real=getattr(module, name), seen=calls[name], **kwargs):
+            seen.append(first)
+            return real(first, *args, **kwargs)
+
+        monkeypatch.setattr(module, name, recording)
+    return calls
+
+
 @pytest.fixture
 def rng():
     return random.Random(0xEDA6)

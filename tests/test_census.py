@@ -34,6 +34,8 @@ from edgemagic.census import (
 )
 from edgemagic.generators import SparseSpec, generate_mops, generate_sparse_graphs
 
+from conftest import record_calls
+
 MOP4_LINES = [emit_graph6(g) for g in generate_mops(4)]
 MOP4_ROW_JSON = (
     '{"code":"C}","graph6":"C}","p":4,"q":5,"spectrum":[2],"ks":[0,1,2,3],'
@@ -41,18 +43,6 @@ MOP4_ROW_JSON = (
     '"ruled_out":{"0":"search-exhausted","1":"counting-filter","3":"counting-filter"},'
     '"status":"ok"}'
 )
-
-
-def record_calls(monkeypatch, names):
-    """Make the census module's functions ``names`` record their first argument."""
-    calls = {name: [] for name in names}
-    for name in names:
-        def recording(first, *args, real=getattr(census_mod, name), seen=calls[name], **kwargs):
-            seen.append(first)
-            return real(first, *args, **kwargs)
-
-        monkeypatch.setattr(census_mod, name, recording)
-    return calls
 
 
 def emit_text(rows, format):
@@ -116,7 +106,7 @@ class TestRunCensus:
         big = emit_graph6(named_family("path", 12))
         stream = (labelled + ["garbage(", edgeless, big] + labelled[::-1]
                   + [">>graph6<<" + labelled[1], edgeless, big, "garbage("] + MOP4_LINES * 2)
-        calls = record_calls(monkeypatch, ("canonical_form", "canonical_graph"))
+        calls = record_calls(monkeypatch, census_mod, ("canonical_form", "canonical_graph"))
         rows = run_census(stream, p_max=10)
         distinct = {parse_graph6(record) for record in labelled + MOP4_LINES}
         forms = calls["canonical_form"]
@@ -430,7 +420,7 @@ class TestConjecture:
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_order_seven_canonicalizes_and_parses_nothing(self, monkeypatch, jobs):
-        calls = record_calls(monkeypatch, ("canonical_form", "canonical_graph", "parse_graph6"))
+        calls = record_calls(monkeypatch, census_mod, ("canonical_form", "canonical_graph", "parse_graph6"))
         verdict = check_mop_conjecture(7, jobs=jobs)
         assert calls == {"canonical_form": [], "canonical_graph": [], "parse_graph6": []}
         assert verdict == ConjectureVerdict(

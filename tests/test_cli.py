@@ -170,6 +170,15 @@ class TestCensus:
         captured = capsys.readouterr()
         assert "--k" in captured.err and captured.out == ""
 
+    @pytest.mark.parametrize("value", ["2,,3", "x"])
+    def test_non_integer_k_named(self, tmp_path, capsys, value):
+        source = tmp_path / "graphs.g6"
+        source.write_text(f"{K2_RECORD}\n")
+        assert main(["census", str(source), "--mode", "k-list", "--k", value]) == 2
+        captured = capsys.readouterr()
+        assert "--k" in captured.err and repr(value) in captured.err
+        assert captured.out == ""
+
     def test_non_integer_environment_jobs_named(self, tmp_path, capsys, monkeypatch):
         source = tmp_path / "graphs.g6"
         source.write_text(f"{K2_RECORD}\n")

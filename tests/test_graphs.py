@@ -213,13 +213,7 @@ class TestCanonicalForm:
     def test_least_record_over_degree_respecting_relabelings(self, rng):
         # the definition itself: every labelled graph with p <= 5, and a
         # seeded sample at p = 6-7
-        every = [
-            Graph(p, subset)
-            for p in range(1, 6)
-            for pairs in [list(itertools.combinations(range(p), 2))]
-            for r in range(len(pairs) + 1)
-            for subset in itertools.combinations(pairs, r)
-        ]
+        every = every_labelled_graph(5)
         assert len(every) == 1 + 2 + 8 + 64 + 1024
         for g in every + [random_graph(rng, 6, 7) for _ in range(150)]:
             assert canonical_form(g) == least_degree_respecting_record(g), g
@@ -247,6 +241,35 @@ class TestCanonicalForm:
             ours = canonical_form(g) == canonical_form(h)
             theirs = nx.is_isomorphic(to_networkx(g), to_networkx(h))
             assert ours == theirs
+
+
+class TestDecodedGraphsNormalized:
+    # parse_graph6 and canonical_graph build their graphs from already
+    # normalized edges, skipping the validating constructor; each must come
+    # out as that constructor would have built it.
+    @staticmethod
+    def assert_as_validated(built):
+        validated = Graph(built.p, tuple(reversed(built.edges)))
+        assert built == validated and hash(built) == hash(validated)
+        assert built.edges == validated.edges
+
+    def test_decoded_and_canonical_graphs_match_validating_constructor(self, rng):
+        for g in every_labelled_graph(5) + [random_graph(rng, 1, 12) for _ in range(200)]:
+            self.assert_as_validated(parse_graph6(emit_graph6(g)))
+            self.assert_as_validated(canonical_graph(g, p_max=12))
+        for _ in range(8):  # the long graph6 form
+            self.assert_as_validated(parse_graph6(emit_graph6(random_graph(rng, 63, 70))))
+
+
+def every_labelled_graph(p_max: int) -> list[Graph]:
+    """Every graph on vertices 0..p-1 for p = 1..p_max."""
+    return [
+        Graph(p, subset)
+        for p in range(1, p_max + 1)
+        for pairs in [list(itertools.combinations(range(p), 2))]
+        for r in range(len(pairs) + 1)
+        for subset in itertools.combinations(pairs, r)
+    ]
 
 
 def least_degree_respecting_record(g: Graph) -> bytes:

@@ -23,15 +23,17 @@ from edgemagic import (
     graph_from_edges,
     is_k_em,
     label_residues,
+    parse_graph6,
     relabel,
     verify_labeling,
     witness_from_json,
     witness_to_json,
 )
+import edgemagic.solver as solver_mod
 from edgemagic.generators import generate_by_edge_count, generate_mops, named_family
 from edgemagic.solver import witness_to_dict
 
-from conftest import graph_strategy, random_graph
+from conftest import graph_strategy, random_graph, record_calls
 
 MOP4 = graph_from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])
 K2 = graph_from_edges(2, [(0, 1)])
@@ -171,6 +173,31 @@ class TestClassify:
         assert list(outcomes) == [0, 2]
         assert isinstance(outcomes.pop(2), Witness)  # 6 = 2 (mod 4)
         assert outcomes == {0: "search-exhausted"}
+
+    def test_detailed_negative_k_rejected(self):
+        with pytest.raises(ValueError, match="base label k must be nonnegative, got -2"):
+            classify_detailed(MOP4, [-2])
+
+    @pytest.mark.parametrize("g, shared", [
+        (parse_graph6("Fnzk_"), True),  # p = 7 divides q = 14: one multiset for every k
+        (generate_mops(9)[0], False),  # a MOP: a multiset of its own for every k
+    ], ids=["Fnzk_", "mop9"])
+    def test_one_search_per_residue_multiset(self, monkeypatch, g, shared):
+        calls = record_calls(monkeypatch, solver_mod, ("_magic_residue_solutions",))
+        searches = calls["_magic_residue_solutions"]
+        singles = []
+        for k in range(g.p):
+            classify_detailed(g, [k])
+            singles.append(len(searches))
+            searches.clear()
+        classify_detailed(g)
+        assert len(searches) == (singles[0] if shared else sum(singles))
+
+    @pytest.mark.parametrize("p", range(4, 14))
+    def test_mop_residue_multisets_pairwise_distinct(self, p):
+        # A MOP has q = 2p - 3 edges, and p divides 2p - 3 only at p = 3, so
+        # MOP spectra never share a search between residues.
+        assert len({label_residues(k, 2 * p - 3, p).counts for k in range(p)}) == p
 
 
 class TestShiftInvariance:
