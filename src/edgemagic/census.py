@@ -387,21 +387,20 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def check_mop_conjecture(p: int, p_max: int = P_MAX, jobs: int = 1) -> ConjectureVerdict:
+def check_mop_conjecture(p: int, jobs: int = 1) -> ConjectureVerdict:
     """Exhaustively test that every MOP of prime order p has spectrum exactly {2}.
 
     The counting filter already forces k = 2 for q = 2p-3 and prime p > 3
     (the admitted set is recorded for cross-checking); deciding every residue
     of every MOP class supplies the other direction: any class whose spectrum
-    is not (2,).  Rows are not kept, and no store is read or written.
+    is not (2,).  The order names the graphs, so it is their cap.  Rows are
+    not kept, and no store is read or written.
     """
     if not is_prime(p):
         raise ValueError(f"order must be prime, got {p}")
     if p < 5:
         raise ValueError(f"prime-order check starts at p=5, got {p}")
-    if p > p_max:
-        raise ValueError(f"order {p} exceeds cap {p_max}; raise the cap explicitly")
-    mops = generate_mops(p, p_max=p_max)
+    mops = generate_mops(p, p_max=p)
     admitted = tuple(k for k in range(p) if counting_filter(mops[0], k))
 
     # Each generated graph is canonical, so its graph6 record is its class's code.

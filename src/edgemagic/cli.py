@@ -5,7 +5,9 @@ holds), 1 negative result (no witness / conjecture fails), 2 usage or input
 error.  Graph streams read standard input when the source argument is "-".
 Caps and defaults fall back to environment variables EDGEMAGIC_P_MAX,
 EDGEMAGIC_P_SPARSE, EDGEMAGIC_STORE, EDGEMAGIC_FORMAT, and EDGEMAGIC_JOBS
-when the matching flag is not given.
+when the matching flag is not given.  A command that names an order of MOPs
+(``generate mop``, ``conjecture``) runs at that order; the vertex cap
+EDGEMAGIC_P_MAX guards canonical search over graphs read from input.
 """
 
 from __future__ import annotations
@@ -109,7 +111,7 @@ def cmd_classify(args, config: CliConfig) -> int:
 
 def cmd_generate(args, config: CliConfig) -> int:
     if args.kind == "mop":
-        graphs = generate_mops(args.p, p_max=config.p_max)
+        graphs = generate_mops(args.p, p_max=args.p)
     elif args.kind == "sparse":
         spec = SparseSpec(args.p, args.h)
         graphs = generate_sparse_graphs(spec, args.connected_only, p_cap=config.p_sparse)
@@ -158,8 +160,7 @@ def cmd_census(args, config: CliConfig) -> int:
 
 
 def cmd_conjecture(args, config: CliConfig) -> int:
-    # The check is exhaustive at exactly order p, so the cap is p itself.
-    verdict = check_mop_conjecture(args.p, p_max=args.p, jobs=config.jobs)
+    verdict = check_mop_conjecture(args.p, jobs=config.jobs)
     if verdict.holds:
         print(f"HOLDS: all {verdict.checked} maximal outerplanar graphs of order "
               f"{verdict.p} have spectrum {{2}}")

@@ -15,6 +15,7 @@ without checking or sorting their edges again.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 
@@ -81,9 +82,9 @@ class Graph:
         return masks
 
     def has_edge(self, u: int, v: int) -> bool:
-        if u > v:
-            u, v = v, u
-        return (u, v) in set(self.edges)
+        pair = (v, u) if u > v else (u, v)
+        i = bisect_left(self.edges, pair)
+        return i < len(self.edges) and self.edges[i] == pair
 
 
 def _normalized_graph(p: int, edges: tuple[tuple[int, int], ...]) -> Graph:

@@ -247,22 +247,16 @@ def _magic_residue_solutions(
     return solutions
 
 
-def _interval_labels_by_residue(k: int, q: int, p: int) -> dict[int, list[int]]:
-    by_residue: dict[int, list[int]] = {}
-    for label in range(k, k + q):
-        by_residue.setdefault(label % p, []).append(label)
-    return by_residue
-
-
 def _witness_from_residues(
     g: Graph, k: int, c: int, residue_map: dict[tuple[int, int], int]
 ) -> Witness:
-    # Within each residue class actual labels go to edges in increasing order.
-    pool = _interval_labels_by_residue(k, g.q, g.p)
+    # The j-th edge with residue r gets the j-th label of k..k+q-1 in class r.
+    used = [0] * g.p
     assignment = {}
     for edge in g.edges:
         r = residue_map[edge]
-        assignment[edge] = pool[r].pop(0)
+        assignment[edge] = k + (r - k) % g.p + used[r] * g.p
+        used[r] += 1
     return Witness(Labeling(k, assignment), c)
 
 

@@ -86,7 +86,7 @@ def test_criterion_5_conjecture_desk_scale():
     v5 = check_mop_conjecture(5)
     v7 = check_mop_conjecture(7)
     start = time.perf_counter()
-    v11 = check_mop_conjecture(11, p_max=11, jobs=2)
+    v11 = check_mop_conjecture(11, jobs=2)
     elapsed = time.perf_counter() - start
     # p=11 lies beyond the orders with established classifications; its verdict
     # is computed evidence, frozen here after the first exhaustive run.

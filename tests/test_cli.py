@@ -89,10 +89,22 @@ class TestGenerate:
     def test_family_bad_size(self, capsys):
         assert main(["generate", "family", "cycle", "2"]) == 2
 
-    def test_cap_respects_environment(self, capsys, monkeypatch):
+    def test_cap_respects_environment(self, tmp_path, capsys, monkeypatch):
+        # The named order is the cap of generate mop; census keeps the vertex cap.
         monkeypatch.setenv("EDGEMAGIC_P_MAX", "4")
-        assert main(["generate", "mop", "--p", "5"]) == 2
-        assert "capped" in capsys.readouterr().err
+        assert main(["generate", "mop", "--p", "5"]) == 0
+        record = capsys.readouterr().out.strip()
+        assert parse_graph6(record).p == 5
+        source = tmp_path / "mop5.g6"
+        source.write_text(record + "\n")
+        assert main(["census", str(source)]) == 0
+        assert capsys.readouterr().out.splitlines()[1:] == [f"{record},5,7,skipped"]
+
+    def test_mop_order_past_default_cap(self, capsys, monkeypatch):
+        monkeypatch.delenv("EDGEMAGIC_P_MAX", raising=False)
+        assert main(["generate", "mop", "--p", "11"]) == 0
+        records = capsys.readouterr().out.splitlines()
+        assert records == [emit_graph6(g) for g in generate_mops(11, p_max=11)]
 
     def test_invalid_environment_cap(self, capsys, monkeypatch):
         monkeypatch.setenv("EDGEMAGIC_P_MAX", "0")
@@ -244,9 +256,12 @@ class TestUsage:
         assert excinfo.value.code == 2
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
 def readme_block(section: str = "Command line", language: str = "sh") -> str:
     """The first ``language`` code block of a README section."""
-    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    text = README.read_text()
     return text.split(f"## {section}", 1)[1].split(f"```{language}\n", 1)[1].split("```", 1)[0]
 
 
@@ -274,6 +289,20 @@ class TestReadme:
     def test_documented_command_parses(self, words):
         assert words[0] == "edgemagic"
         build_parser().parse_args(words[1:])  # exits 2 on an unknown flag
+
+    def test_configuration_table_lists_every_variable_read(self):
+        # Every EDGEMAGIC_* string literal of the package, and no other, has a table row.
+        package = Path(__file__).resolve().parents[1] / "src" / "edgemagic"
+        read = {
+            node.value
+            for path in package.glob("*.py")
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and re.fullmatch(r"EDGEMAGIC_[A-Z_]+", node.value)
+        }
+        section = README.read_text().split("## Configuration", 1)[1].split("\n## ", 1)[0]
+        documented = set(re.findall(r"^\| `(EDGEMAGIC_[A-Z_]+)` \|", section, re.MULTILINE))
+        assert read and read == documented
 
     def test_solve_example_prints_documented_witness(self, capsys):
         lines = readme_block().splitlines()

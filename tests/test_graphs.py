@@ -67,6 +67,14 @@ class TestConstruction:
         inverse = [perm.index(i) for i in range(4)]
         assert relabel(relabel(g, perm), inverse) == g
 
+    def test_has_edge(self):
+        g = graph_from_edges(4, MOP4_EDGES)
+        assert all(g.has_edge(u, v) and g.has_edge(v, u) for u, v in MOP4_EDGES)
+        assert not g.has_edge(1, 3) and not g.has_edge(3, 1)  # absent pair
+        assert not g.has_edge(3, 4) and not g.has_edge(-1, 0)  # vertex out of range
+        assert not g.has_edge(2, 2)
+        assert not Graph(1).has_edge(0, 0)
+
     def test_components(self):
         g = graph_from_edges(5, [(0, 1), (3, 4)])
         assert connected_components(g) == [[0, 1], [2], [3, 4]]
