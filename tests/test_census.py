@@ -357,7 +357,6 @@ class TestStore:
             run_census(lines, jobs=2, store=FullDisk(tmp_path / "store.jsonl"))
         assert len(started) < len(lines)
 
-
     def test_stored_witnesses_reverify_after_reload(self, tmp_path):
         # Every MOP class of orders 4-9 and 40 seeded random graphs, every residue
         # decided, then read back: a sample of witnesses is checked from scratch.
