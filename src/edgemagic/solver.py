@@ -24,7 +24,10 @@ schedule are built once per graph.  An edge that completes a vertex can carry
 only the residue that brings that vertex's sum to c, so no other is tried.
 After each placement a forward check (Haralick and Elliott, 1980) abandons
 the branch when a vertex with one edge left needs a residue the remaining
-supply no longer holds.  Both prunings remove only subtrees without
+supply no longer holds, and a pairwise check (after Mackworth, 1977) when two
+such vertices cannot both finish: the two ends of one last edge need equal
+partial sums, and two vertices waiting on different edges for one residue
+need two of it left.  All three prunings remove only subtrees without
 solutions, and residues are tried in ascending order, so solutions and
 witnesses come out as a plain depth-first search would give them.
 ``brute_force_is_k_em`` is an independent oracle with no pruning at all,
@@ -33,7 +36,6 @@ meant for cross-checking in tests.
 
 from __future__ import annotations
 
-import itertools
 import json
 from collections import deque
 from dataclasses import dataclass, field
@@ -47,7 +49,7 @@ Q_BRUTE = 8
 SOLVER_VERSION = "2"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Labeling:
     """A bijection from edges onto the label interval [k, k+q-1]."""
 
@@ -68,7 +70,7 @@ class Labeling:
         object.__setattr__(self, "assignment", normalized)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Witness:
     """A labeling together with the common vertex sum c (mod p) it induces."""
 
@@ -162,15 +164,23 @@ def _bfs_edge_order(g: Graph) -> list[tuple[int, int]]:
 class _SearchPlan:
     """Per-graph search schedule, shared by every (k, c) the graph is tried at.
 
-    ``completes[i]`` holds the vertices whose last edge is ``order[i]``;
-    ``one_left[i]`` the vertices with exactly one edge still unplaced once
-    ``order[i]`` is placed (degree-1 vertices count from the start).
+    ``steps[i]`` is one tuple ``(u, v, forced, waiting, ties)`` for placing
+    ``order[i] = (u, v)``:
+
+    - ``forced``: the vertex whose last edge is ``order[i]``, the lower one
+      if both ends finish there, else None;
+    - ``waiting``: the vertices with exactly one edge still unplaced once
+      ``order[i]`` is placed (degree-1 vertices count from the start), one
+      per last edge: where both ends of an edge wait on it, only the lower
+      is listed;
+    - ``ties``: the pairs (a, b) that both wait on the edge (a, b) from step
+      i on.  Neither sum changes until that edge is placed, so each pair
+      needs checking at this step only.
     """
 
     p: int
     order: tuple[tuple[int, int], ...]
-    completes: tuple[tuple[int, ...], ...]
-    one_left: tuple[tuple[int, ...], ...]
+    steps: tuple[tuple, ...]
     has_isolated: bool
 
 
@@ -180,17 +190,32 @@ def _search_plan(g: Graph) -> _SearchPlan:
     for i, (u, v) in enumerate(order):
         incident[u].append(i)
         incident[v].append(i)
-    completes: list[tuple[int, ...]] = [()] * len(order)
-    one_left: list[tuple[int, ...]] = [()] * len(order)
+    # A vertex waits on its last edge from the step that places the edge
+    # before it, or from the start when it has only one.
+    start = [steps[-2] if len(steps) > 1 else 0 for steps in incident]
+    forced: list[int | None] = [None] * len(order)
+    waiting: list[tuple[int, ...]] = [()] * len(order)
+    ties: list[tuple[tuple[int, int], ...]] = [()] * len(order)
     for w, steps in enumerate(incident):
         if not steps:
             continue
-        completes[steps[-1]] += (w,)
-        first = steps[-2] if len(steps) > 1 else 0
-        for i in range(first, steps[-1]):
-            one_left[i] += (w,)
-    return _SearchPlan(g.p, tuple(order), tuple(completes), tuple(one_left),
-                       any(not steps for steps in incident))
+        last = steps[-1]
+        if forced[last] is None:
+            forced[last] = w
+        a, b = order[last]
+        end = last
+        if w == b and incident[a][-1] == last:  # a waits on this edge too
+            end = max(start[a], start[w])
+            if end < last:
+                ties[end] += ((a, b),)
+        for i in range(start[w], end):
+            waiting[i] += (w,)
+    return _SearchPlan(
+        g.p,
+        tuple(order),
+        tuple((u, v, f, wt, t) for (u, v), f, wt, t in zip(order, forced, waiting, ties)),
+        any(not steps for steps in incident),
+    )
 
 
 def _magic_residue_solutions(
@@ -200,50 +225,60 @@ def _magic_residue_solutions(
 
     Exhaustive up to permutations within a residue class, which cannot change
     any vertex sum.  Depth-first over edges in completion order, residues
-    ascending; stops after `limit` solutions when given.  Two prunings cut
+    ascending; stops after `limit` solutions when given.  Three prunings cut
     only subtrees that hold no solution, so solutions come out in the same
     order as a plain ascending search:
 
     - forced residue: an edge that completes a vertex w can only carry
-      (c - partial[w]) mod p, so that residue alone is tried, and a second
-      vertex completed by the same edge must then also sum to c;
+      (c - partial[w]) mod p, so that residue alone is tried;
     - forward check: after each placement, every vertex with exactly one edge
-      left must still find the residue it needs in the remaining supply.
+      left must still find the residue it needs in the remaining supply;
+    - pairwise check: two such vertices waiting on the same edge are its two
+      ends, so their partial sums must agree mod p, and two waiting on
+      different edges that need the same residue must find it at least twice
+      in the remaining supply.
+
+    A forced residue completes its vertex by construction, and the pairwise
+    check has already tied the other end's sum to it when the edge completes
+    both, so neither is checked again.
     """
     p = plan.p
-    order, completes, one_left = plan.order, plan.completes, plan.one_left
+    order, steps = plan.order, plan.steps
     if plan.has_isolated and c != 0:
         return []  # an isolated vertex has an empty sum, forcing c = 0
-    counts = list(label_residues(k, len(order), p).counts)
+    q = len(order)
+    counts = list(label_residues(k, q, p).counts)
     partial = [0] * p
-    chosen: list[int] = []
+    chosen = [0] * q
     solutions: list[dict[tuple[int, int], int]] = []
 
     def extend(i: int) -> bool:
-        if i == len(order):
+        if i == q:
             solutions.append(dict(zip(order, chosen)))
             return limit is not None and len(solutions) >= limit
-        u, v = order[i]
-        finished = completes[i]
-        waiting = one_left[i]
-        for r in ((c - partial[finished[0]]) % p,) if finished else range(p):
+        u, v, forced, waiting, ties = steps[i]
+        for r in range(p) if forced is None else ((c - partial[forced]) % p,):
             if counts[r] == 0:
                 continue
             counts[r] -= 1
             partial[u] += r
             partial[v] += r
-            for w in finished:
-                if partial[w] % p != c:
+            for a, b in ties:
+                if (partial[a] - partial[b]) % p:
                     break
             else:
+                scarce = 0  # bit x: a waiting vertex needs x, of which one is left
                 for w in waiting:
-                    if counts[(c - partial[w]) % p] == 0:
-                        break
+                    x = (c - partial[w]) % p
+                    left = counts[x]
+                    if left < 2:
+                        if left == 0 or scarce >> x & 1:
+                            break
+                        scarce |= 1 << x
                 else:
-                    chosen.append(r)
+                    chosen[i] = r
                     if extend(i + 1):
                         return True
-                    chosen.pop()
             counts[r] += 1
             partial[u] -= r
             partial[v] -= r
@@ -372,8 +407,33 @@ def enumerate_labelings(g: Graph, k: int, limit: int | None = None) -> list[Witn
     return [_witness_from_residues(g, k, c, rm) for _, c, rm in solutions]
 
 
+def _distinct_permutations(items: list[int]):
+    """Each distinct permutation of items once, in lexicographic order.
+
+    The next-permutation walk (Knuth, TAOCP 7.2.1.2, Algorithm L) produces
+    them one at a time, so a search that stops early never builds the rest.
+    """
+    a = sorted(items)
+    while True:
+        yield tuple(a)
+        i = len(a) - 2
+        while i >= 0 and a[i] >= a[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = len(a) - 1
+        while a[j] <= a[i]:
+            j -= 1
+        a[i], a[j] = a[j], a[i]
+        a[i + 1:] = reversed(a[i + 1:])
+
+
 def brute_force_is_k_em(g: Graph, k: int, q_cap: int = Q_BRUTE) -> Witness | None:
-    """Independent oracle: try every distinct residue permutation, no pruning."""
+    """Independent oracle: try every distinct residue permutation, no pruning.
+
+    Permutations are tried in lexicographic order of their residue tuples
+    over g.edges, so the witness is the first such tuple that is magic.
+    """
     if k < 0:
         raise ValueError(f"base label k must be nonnegative, got {k}")
     if g.q > q_cap:
@@ -381,7 +441,7 @@ def brute_force_is_k_em(g: Graph, k: int, q_cap: int = Q_BRUTE) -> Witness | Non
     p = g.p
     counts = label_residues(k, g.q, p).counts
     residues = [r for r in range(p) for _ in range(counts[r])]
-    for perm in sorted(set(itertools.permutations(residues))):
+    for perm in _distinct_permutations(residues):
         sums = [0] * p
         for (u, v), r in zip(g.edges, perm):
             sums[u] += r

@@ -150,6 +150,16 @@ class TestRunCensus:
         lines = [emit_graph6(g) for g in generate_mops(6)]
         assert run_census(lines, jobs=2) == run_census(lines)
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_witnesses_share_one_tuple_per_vertex_pair(self, jobs):
+        # Fresh witnesses of one run key their labels by shared edge tuples,
+        # so the rows hold at most p(p-1)/2 of them, not q per witness.
+        rows = run_census([emit_graph6(g) for g in generate_mops(7)], jobs=jobs)
+        keys = [edge for row in rows for w in row.witnesses.values()
+                for edge in w.labeling.assignment]
+        assert len(keys) == 4 * 11
+        assert len({id(edge) for edge in keys}) == len(set(keys)) <= 7 * 6 // 2
+
     def test_jobs_with_store(self, tmp_path):
         lines = [emit_graph6(g) for g in generate_mops(6)]
         store_path = tmp_path / "store.jsonl"

@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -56,6 +57,42 @@ def oracle_residue_solutions(g, k):
 
 def oracle_residue_solution_count(g, k):
     return len(oracle_residue_solutions(g, k))
+
+
+def eager_brute_force_is_k_em(g, k):
+    """The permutation oracle as first written, kept as its reference: every
+    distinct permutation is built and sorted before the first is tried."""
+    counts = label_residues(k, g.q, g.p).counts
+    residues = [r for r in range(g.p) for _ in range(counts[r])]
+    for perm in sorted(set(itertools.permutations(residues))):
+        sums = [0] * g.p
+        for (u, v), r in zip(g.edges, perm):
+            sums[u] += r
+            sums[v] += r
+        c = sums[0] % g.p
+        if all(s % g.p == c for s in sums):
+            return solver_mod._witness_from_residues(g, k, c, dict(zip(g.edges, perm)))
+    return None
+
+
+def count_search_nodes(fn):
+    """Calls of the solver's inner ``extend`` (one per search node) during fn()."""
+    extend = next(code for code in solver_mod._magic_residue_solutions.__code__.co_consts
+                  if getattr(code, "co_name", None) == "extend")
+    nodes = 0
+
+    def count(frame, event, arg):
+        nonlocal nodes
+        if event == "call" and frame.f_code is extend:
+            nodes += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        fn()
+    finally:
+        sys.setprofile(previous)
+    return nodes
 
 
 class TestLabelResidues:
@@ -240,6 +277,35 @@ class TestClassify:
                     assert result.valid and result.c == outcome.c, (g, k)
 
 
+def seeded_graphs(count, seed):
+    """count seeded random graphs of order 5-7 with p <= q <= 2p edges."""
+    rng = random.Random(seed)
+    graphs = []
+    for _ in range(count):
+        p = rng.randint(5, 7)
+        pairs = list(itertools.combinations(range(p), 2))
+        graphs.append(Graph(p, tuple(rng.sample(pairs, rng.randint(p, 2 * p)))))
+    return graphs
+
+
+class TestSearchNodes:
+    # Search nodes over full spectra.  The forward check on single vertices
+    # alone searched the first figure; the pairwise check brings that to the
+    # second.  Both belong to the breadth-first edge order, so a new order
+    # re-counts them; a check that prunes less than the pairwise one counts
+    # more.  On MOPs both ends of an edge start waiting on it one step before
+    # it is placed, so only the random graphs see a pair of ends checked late.
+    @pytest.mark.parametrize("graphs, single_vertex, pairwise", [
+        (lambda: generate_mops(9), 125_515, 68_258),
+        (lambda: seeded_graphs(60, 20120), 10_099, 6_693),
+    ], ids=["mop9", "random60"])
+    def test_pairwise_check_cuts_search_nodes(self, graphs, single_vertex, pairwise):
+        family = graphs()
+        nodes = count_search_nodes(lambda: [classify(g) for g in family])
+        assert nodes < single_vertex
+        assert nodes <= pairwise
+
+
 class TestShiftInvariance:
     @given(graph_strategy(max_p=5, min_p=2), st.integers(0, 12))
     @settings(max_examples=60, deadline=None)
@@ -381,6 +447,16 @@ class TestBruteForce:
                         fast = is_k_em(g, k)
                         slow = brute_force_is_k_em(g, k)
                         assert (fast is None) == (slow is None), (g, k)
+
+    @pytest.mark.parametrize("p, q_max", [(1, 0), (2, 1), (3, 3), (4, 6), (5, 7)])
+    def test_lazy_walk_matches_eager_reference(self, p, q_max):
+        # Every class of order p with q <= q_max edges, every k: the lazy walk
+        # tries permutations in the eager loop's order, so it returns the same
+        # first witness, or None where the eager loop does.
+        for q in range(q_max + 1):
+            for g in generate_by_edge_count(p, q):
+                for k in range(p):
+                    assert brute_force_is_k_em(g, k) == eager_brute_force_is_k_em(g, k), (g, k)
 
     def test_triangle_k0(self):
         assert brute_force_is_k_em(named_family("cycle", 3), 0) is None
