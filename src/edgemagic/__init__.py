@@ -17,7 +17,6 @@ from .solver import (
     Q_BRUTE,
     KSpectrum,
     Labeling,
-    ResidueMultiset,
     VerifyResult,
     Witness,
     brute_force_is_k_em,

@@ -9,7 +9,9 @@ The prime-order conjecture check feeds the generated MOP classes, already
 canonical, straight to the decide stage and keeps only counterexamples.
 Each row is appended to an optional JSONL store, keyed by canonical code and
 solver version, as soon as its class is decided, so interrupted or repeated
-runs reuse earlier work instead of recomputing.
+runs reuse earlier work instead of recomputing.  A row holds each residue's
+outcome once, as a witness or a reason; the graph6, spectrum and ks derived
+from them are written for readers and ignored on load.
 Every witness passes ``verify_labeling`` before its row is stored or served:
 a fresh one that fails is a solver fault and stops the run.  A stored residue
 is reused only with a witness that verifies or the exclusion reason the
@@ -62,24 +64,34 @@ CSV_HEADER = "graph6,p,q,spectrum"
 class CensusRow:
     """One isomorphism class's census result.
 
-    ``ks`` lists the residues actually decided (all of 0..p-1 unless the run
-    was given ks).  ``ruled_out`` records, for each decided non-member, whether the
-    counting filter excluded it or the search was exhausted, so each residue
-    of ``ks`` has a witness or a reason.  A stored residue is not reused
-    unless its witness passes ``verify_labeling`` or its reason is the one the
-    counting filter implies.  Rows for graphs
-    beyond the configured caps carry status "skipped" and no spectrum.
+    Each decided residue (all of 0..p-1 unless the run was given ks) is a key
+    of one dict: ``witnesses`` for members, ``ruled_out`` for non-members,
+    saying whether the counting filter excluded it or the search was
+    exhausted.  ``graph6``, ``spectrum`` and ``ks`` derive from these and
+    ``code``, so a row cannot disagree with itself.  A stored residue is not
+    reused unless its witness passes ``verify_labeling`` or its reason is the
+    one the counting filter implies.  Rows for graphs beyond the configured
+    caps carry status "skipped" and no spectrum.
     """
 
     code: str
-    graph6: str
     p: int
     q: int
-    spectrum: tuple[int, ...] = ()
-    ks: tuple[int, ...] = ()
     witnesses: dict[int, Witness] = field(default_factory=dict)
     ruled_out: dict[int, str] = field(default_factory=dict)
     status: str = "ok"
+
+    @property
+    def graph6(self) -> str:
+        return self.code
+
+    @property
+    def spectrum(self) -> tuple[int, ...]:
+        return tuple(sorted(self.witnesses))
+
+    @property
+    def ks(self) -> tuple[int, ...]:
+        return tuple(sorted({*self.witnesses, *self.ruled_out}))
 
 
 @dataclass(frozen=True)
@@ -87,10 +99,13 @@ class ConjectureVerdict:
     """Outcome of the prime-order check that every MOP spectrum is exactly {2}."""
 
     p: int
-    holds: bool
     counterexamples: tuple[tuple[str, tuple[int, ...]], ...]
     checked: int
     filter_admits: tuple[int, ...]
+
+    @property
+    def holds(self) -> bool:
+        return not self.counterexamples
 
 
 def _row_to_dict(row: CensusRow) -> dict:
@@ -112,11 +127,8 @@ def _row_to_dict(row: CensusRow) -> dict:
 def _row_from_dict(payload: dict) -> CensusRow:
     return CensusRow(
         code=payload["code"],
-        graph6=payload["graph6"],
         p=payload["p"],
         q=payload["q"],
-        spectrum=tuple(payload["spectrum"]),
-        ks=tuple(payload["ks"]),
         witnesses={int(k): witness_from_dict(w)[0] for k, w in payload["witnesses"].items()},
         ruled_out={int(k): reason for k, reason in payload["ruled_out"].items()},
         status=payload["status"],
@@ -180,10 +192,8 @@ def _classify_job(args: tuple[Graph, tuple[int, ...]]):
     return classify_detailed(g, ks)
 
 
-def _witness_fault(g: Graph, k: int, witness: Witness | None) -> str | None:
+def _witness_fault(g: Graph, k: int, witness: Witness) -> str | None:
     """Why ``witness`` fails to prove that g is k-EM, or None when it proves it."""
-    if witness is None:
-        return "no witness"
     if type(witness.c) is not int:
         return f"witness claims c={witness.c!r}, not an integer"
     if witness.labeling.k % g.p != k:
@@ -202,40 +212,33 @@ def _witness_fault(g: Graph, k: int, witness: Witness | None) -> str | None:
 def _stored_outcomes(row: CensusRow, g: Graph) -> dict[int, Witness | str]:
     """Read a stored row as {k: witness or reason}, keeping only what it proves.
 
-    A residue in ``row.ks`` survives with a witness that verifies on g, or
-    with the reason the solver gives when the counting filter rejects k or
-    admits it; any other is left out, so that it is decided again.
+    A residue survives with a witness that verifies on g, or with the reason
+    the solver gives when the counting filter rejects k or admits it; any
+    other is left out, so that it is decided again.
     """
     outcomes: dict[int, Witness | str] = {}
     for k in range(g.p):
-        if k not in row.ks:
-            continue
-        reason = None if k in row.spectrum else row.ruled_out.get(k)
-        if reason == ("search-exhausted" if counting_filter(g, k) else "counting-filter"):
-            outcomes[k] = reason
-            continue
-        fault = _witness_fault(g, k, row.witnesses.get(k))
-        if fault is None:
-            outcomes[k] = row.witnesses[k]
-        else:
-            logger.warning("stored witness for k=%d on %s rejected: %s", k, row.code, fault)
+        if k in row.witnesses:
+            fault = _witness_fault(g, k, row.witnesses[k])
+            if fault is None:
+                outcomes[k] = row.witnesses[k]
+            else:
+                logger.warning("stored witness for k=%d on %s rejected: %s", k, row.code, fault)
+        elif k in row.ruled_out:
+            reason = row.ruled_out[k]
+            if reason == ("search-exhausted" if counting_filter(g, k) else "counting-filter"):
+                outcomes[k] = reason
+            else:
+                logger.warning("stored reason for k=%d on %s rejected: %r", k, row.code, reason)
     return outcomes
 
 
 def _census_row(code: str, g: Graph, outcomes: dict[int, Witness | str], ks) -> CensusRow:
     """The row of class ``code`` (representative g) over the residues ``ks``."""
-    ks = tuple(sorted(ks))
+    ks = sorted(ks)
     witnesses = {k: outcomes[k] for k in ks if isinstance(outcomes[k], Witness)}
-    return CensusRow(
-        code=code,
-        graph6=code,
-        p=g.p,
-        q=g.q,
-        spectrum=tuple(witnesses),
-        ks=ks,
-        witnesses=witnesses,
-        ruled_out={k: outcomes[k] for k in ks if k not in witnesses},
-    )
+    ruled_out = {k: outcomes[k] for k in ks if k not in witnesses}
+    return CensusRow(code, g.p, g.q, witnesses, ruled_out)
 
 
 def _decide_classes(classes, store: CensusStore | None, jobs: int):
@@ -335,9 +338,7 @@ def run_census(
             continue
         if g.p > p_max:
             key = emit_graph6(g)
-            rows.setdefault(
-                key, CensusRow(code=key, graph6=key, p=g.p, q=g.q, status="skipped")
-            )
+            rows.setdefault(key, CensusRow(key, g.p, g.q, status="skipped"))
             continue
         code = canonical_form(g, p_max=p_max).decode("ascii")
         if code in rows or code in pending:
@@ -418,7 +419,6 @@ def check_mop_conjecture(p: int, jobs: int = 1) -> ConjectureVerdict:
     counterexamples = tuple((code, row.spectrum) for code, row in decided if row.spectrum != (2,))
     return ConjectureVerdict(
         p=p,
-        holds=not counterexamples,
         counterexamples=counterexamples,
         checked=len(mops),
         filter_admits=admitted,

@@ -79,14 +79,6 @@ class Witness:
 
 
 @dataclass(frozen=True)
-class ResidueMultiset:
-    """Multiplicities of {k mod p, ..., (k+q-1) mod p}; the search alphabet."""
-
-    p: int
-    counts: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class KSpectrum:
     """The residues k mod p for which a graph is k-EM."""
 
@@ -101,8 +93,8 @@ class VerifyResult:
     violations: list[str] = field(default_factory=list)
 
 
-def label_residues(k: int, q: int, p: int) -> ResidueMultiset:
-    """Reduce the label interval [k, k+q-1] mod p to residue multiplicities."""
+def label_residues(k: int, q: int, p: int) -> tuple[int, ...]:
+    """Multiplicities, indexed by residue, of [k, k+q-1] mod p: the search alphabet."""
     if k < 0:
         raise ValueError(f"base label k must be nonnegative, got {k}")
     if q < 0 or p < 1:
@@ -110,7 +102,7 @@ def label_residues(k: int, q: int, p: int) -> ResidueMultiset:
     counts = [q // p] * p
     for i in range(q % p):
         counts[(k + i) % p] += 1
-    return ResidueMultiset(p, tuple(counts))
+    return tuple(counts)
 
 
 def counting_filter(g: Graph, k: int) -> bool:
@@ -247,7 +239,7 @@ def _magic_residue_solutions(
     if plan.has_isolated and c != 0:
         return []  # an isolated vertex has an empty sum, forcing c = 0
     q = len(order)
-    counts = list(label_residues(k, q, p).counts)
+    counts = list(label_residues(k, q, p))
     partial = [0] * p
     chosen = [0] * q
     solutions: list[dict[tuple[int, int], int]] = []
@@ -302,7 +294,7 @@ def _witness_from_residues(
 
 
 def is_k_em(g: Graph, k: int) -> Witness | None:
-    """Exact k-EM decision: a verified witness if one exists, else None."""
+    """Exact k-EM decision: an unverified witness if one exists, else None."""
     if k < 0:
         raise ValueError(f"base label k must be nonnegative, got {k}")
     outcome = _decide(g, k, _search_plan(g), {})
@@ -317,7 +309,7 @@ def _first_solution(plan: _SearchPlan, k: int) -> tuple[int, dict[tuple[int, int
     is searched.
     """
     p = plan.p
-    counts = label_residues(k, len(plan.order), p).counts
+    counts = label_residues(k, len(plan.order), p)
     symmetric = all(counts[r] == counts[-r % p] for r in range(p))
     for c in range(p // 2 + 1 if symmetric else p):
         found = _magic_residue_solutions(plan, k, c, limit=1)
@@ -342,14 +334,14 @@ def _decide(g: Graph, k: int, plan: _SearchPlan, searches: dict) -> Witness | st
         return "counting-filter"
     p = g.p
     base = min(k % p, (1 - g.q - k) % p)
-    counts = label_residues(base, g.q, p).counts
+    counts = label_residues(base, g.q, p)
     if counts not in searches:
         searches[counts] = _first_solution(plan, base)
     found = searches[counts]
     if found is None:
         return "search-exhausted"
     c, residue_map = found
-    if label_residues(k, g.q, p).counts != counts:
+    if label_residues(k, g.q, p) != counts:
         c, residue_map = -c % p, {edge: -r % p for edge, r in residue_map.items()}
     return _witness_from_residues(g, k, c, residue_map)
 
@@ -439,7 +431,7 @@ def brute_force_is_k_em(g: Graph, k: int, q_cap: int = Q_BRUTE) -> Witness | Non
     if g.q > q_cap:
         raise ValueError(f"brute force capped at q={q_cap} (got q={g.q})")
     p = g.p
-    counts = label_residues(k, g.q, p).counts
+    counts = label_residues(k, g.q, p)
     residues = [r for r in range(p) for _ in range(counts[r])]
     for perm in _distinct_permutations(residues):
         sums = [0] * p

@@ -206,8 +206,8 @@ class TestStore:
     def test_append_only_last_wins(self, tmp_path):
         store_path = tmp_path / "store.jsonl"
         store = CensusStore(store_path)
-        row = CensusRow(code="A_", graph6="A_", p=2, q=1, spectrum=(0,), ks=(0,))
-        updated = CensusRow(code="A_", graph6="A_", p=2, q=1, spectrum=(0, 1), ks=(0, 1))
+        updated = run_census(["A_"])[0]
+        row = replace(updated, witnesses={0: updated.witnesses[0]})
         store.append(row)
         store.append(updated)
         assert store.load() == {"A_": updated}
@@ -220,7 +220,7 @@ class TestStore:
     def test_torn_line_does_not_swallow_next_row(self, tmp_path):
         store_path = tmp_path / "store.jsonl"
         store = CensusStore(store_path)
-        store.append(CensusRow(code="A_", graph6="A_", p=2, q=1, spectrum=(0, 1), ks=(0, 1)))
+        store.append(run_census(["A_"])[0])
         with store_path.open("a") as fh:
             fh.write('{"code":"B')  # a crash mid-append leaves no newline
         rows = run_census(MOP4_LINES, store=store)
@@ -289,7 +289,7 @@ class TestStore:
     @pytest.mark.parametrize("reason", [None, "search-exhausted", 5],
                              ids=["missing", "wrong", "not-a-reason"])
     def test_residue_without_witness_or_right_reason_is_redecided(
-        self, tmp_path, monkeypatch, reason
+        self, tmp_path, monkeypatch, caplog, reason
     ):
         lines = [emit_graph6(g) for g in generate_mops(5)]
         store_path = tmp_path / "store.jsonl"
@@ -312,8 +312,30 @@ class TestStore:
         rows = run_census(lines, store=CensusStore(store_path))
         assert seen == [(0,)]
         assert rows == fresh
+        rejected = f"stored reason for k=0 on {rows[0].code} rejected: {reason!r}"
+        assert (rejected in caplog.text) == (reason is not None)
+        assert "rejected" not in caplog.text.replace(rejected, "")
         assert len(store_path.read_text().splitlines()) == 2
         assert CensusStore(store_path).load()[rows[0].code] == fresh[0]
+
+    def test_derived_keys_carry_no_weight(self, tmp_path):
+        # graph6, spectrum and ks are written for readers; on load only the
+        # witnesses and reasons count, so edits to the others change nothing.
+        lines = [emit_graph6(g) for g in generate_mops(5)]
+        store_path = tmp_path / "store.jsonl"
+        fresh = run_census(lines, store=CensusStore(store_path))
+        payload = json.loads(store_path.read_text())
+        payload.update(spectrum=[0, 2], ks=[2], graph6="Dxx")
+        store_path.write_text(json.dumps(payload, separators=(",", ":")) + "\n")
+
+        row = CensusStore(store_path).load()[payload["code"]]
+        assert row.spectrum == tuple(sorted(row.witnesses)) == (2,)
+        assert row.graph6 == row.code
+        assert row.ks == (0, 1, 2, 3, 4)
+        rows = run_census(lines, store=CensusStore(store_path))
+        for format in ("csv", "jsonl"):
+            assert emit_text(rows, format) == emit_text(fresh, format)
+        assert len(store_path.read_text().splitlines()) == 1  # nothing decided again
 
     # Lines that are valid JSON but not rows, each stored after a good row.
     MOP4_STORED = {**json.loads(MOP4_ROW_JSON), "solver_version": SOLVER_VERSION}
@@ -402,7 +424,7 @@ class TestReports:
         assert emit_text([], "csv") == "graph6,p,q,spectrum\n"
 
     def test_csv_skipped_marker(self):
-        row = CensusRow(code="X", graph6="X", p=12, q=11, status="skipped")
+        row = CensusRow(code="X", p=12, q=11, status="skipped")
         assert "X,12,11,skipped" in emit_text([row], "csv")
 
     def test_jsonl_round_trip(self):
@@ -459,7 +481,7 @@ class TestConjecture:
         verdict = check_mop_conjecture(7, jobs=jobs)
         assert calls == {"canonical_form": [], "canonical_graph": [], "parse_graph6": []}
         assert verdict == ConjectureVerdict(
-            p=7, holds=True, counterexamples=(), checked=4, filter_admits=(2,))
+            p=7, counterexamples=(), checked=4, filter_admits=(2,))
 
     def test_not_prime_rejected(self):
         with pytest.raises(ValueError, match="prime"):

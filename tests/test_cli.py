@@ -5,11 +5,13 @@ import itertools
 import json
 import re
 import shlex
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from edgemagic import emit_graph6, generate_mops, named_family, parse_graph6, verify_labeling
+from edgemagic import cli
 from edgemagic.cli import build_parser, main
 from edgemagic.solver import witness_from_json
 
@@ -41,6 +43,26 @@ class TestSolve:
 
     def test_negative_k(self, capsys):
         assert main(["solve", K2_RECORD, "--k", "-3"]) == 2
+
+    # The solver's order-4 MOP witness at k = 2 with one label raised past
+    # the interval, or with its claimed c moved off the vertex sums.
+    @pytest.mark.parametrize("edit", ["label", "c"])
+    def test_unverified_witness_not_printed(self, capsys, monkeypatch, edit):
+        real = cli.is_k_em
+
+        def corrupting(g, k):
+            w = real(g, k)
+            if edit == "c":
+                return replace(w, c=(w.c + 1) % g.p)
+            edge = min(w.labeling.assignment)
+            bad = {**w.labeling.assignment, edge: 99}
+            return replace(w, labeling=replace(w.labeling, assignment=bad))
+
+        monkeypatch.setattr(cli, "is_k_em", corrupting)
+        assert main(["solve", MOP4_RECORD, "--k", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: solver witness for k=2")
 
 
 class TestClassify:
