@@ -17,8 +17,10 @@ a fresh one that fails is a solver fault and stops the run.  A stored residue
 is reused only with a witness that verifies or the exclusion reason the
 counting filter implies for it ("counting-filter" where the filter rejects k,
 else "search-exhausted"); any other is decided again and the corrected row
-appended.  Each distinct labelled graph of a stream is canonicalized once per
-run: a record that repeats one read earlier is parsed and then skipped.  The
+appended.  A run makes one canonical search per distinct degree-sorted
+relabelling of its records: a record that repeats one read earlier is parsed
+and then skipped, and a record whose stable relabelling by nonincreasing
+degree matches an earlier record's takes that record's canonical code.  The
 canonical code decides the class; its canonical graph is built only for a
 class not seen before in the run.
 """
@@ -38,6 +40,7 @@ from .graphs import (
     P_MAX,
     Graph,
     Graph6Error,
+    _degree_sorted_bits,
     canonical_form,
     canonical_graph,
     emit_graph6,
@@ -49,7 +52,7 @@ from .solver import (
     Witness,
     classify_detailed,
     counting_filter,
-    verify_labeling,
+    witness_fault,
     witness_from_dict,
     witness_to_dict,
 )
@@ -192,23 +195,6 @@ def _classify_job(args: tuple[Graph, tuple[int, ...]]):
     return classify_detailed(g, ks)
 
 
-def _witness_fault(g: Graph, k: int, witness: Witness) -> str | None:
-    """Why ``witness`` fails to prove that g is k-EM, or None when it proves it."""
-    if type(witness.c) is not int:
-        return f"witness claims c={witness.c!r}, not an integer"
-    if witness.labeling.k % g.p != k:
-        return f"witness is for k={witness.labeling.k}"
-    try:
-        result = verify_labeling(g, witness.labeling)
-    except ValueError as exc:  # a stored witness may label an edge g lacks
-        return str(exc)
-    if not result.valid:
-        return "; ".join(result.violations)
-    if result.c != witness.c:
-        return f"vertex sums are {result.c} mod {g.p}, witness claims {witness.c}"
-    return None
-
-
 def _stored_outcomes(row: CensusRow, g: Graph) -> dict[int, Witness | str]:
     """Read a stored row as {k: witness or reason}, keeping only what it proves.
 
@@ -219,7 +205,7 @@ def _stored_outcomes(row: CensusRow, g: Graph) -> dict[int, Witness | str]:
     outcomes: dict[int, Witness | str] = {}
     for k in range(g.p):
         if k in row.witnesses:
-            fault = _witness_fault(g, k, row.witnesses[k])
+            fault = witness_fault(g, k, row.witnesses[k])
             if fault is None:
                 outcomes[k] = row.witnesses[k]
             else:
@@ -263,7 +249,7 @@ def _decide_classes(classes, store: CensusStore | None, jobs: int):
             for (code, rep, known, requested), result in zip(classes, results):
                 for k, outcome in result.items():
                     if isinstance(outcome, Witness):
-                        fault = _witness_fault(rep, k, outcome)
+                        fault = witness_fault(rep, k, outcome)
                         if fault is not None:
                             raise RuntimeError(f"solver witness for k={k} on {code}: {fault}")
                         labels = outcome.labeling.assignment.items()
@@ -298,8 +284,10 @@ def run_census(
     the cap become status-"skipped" rows.  Edgeless graphs, which are k-EM
     for every k with c = 0, are excluded unless ``include_empty`` is set.
     A record of a labelled graph read earlier in the run is parsed and then
-    skipped, so each distinct labelled graph is canonicalized once, and each
-    class's canonical graph is built once.  Each class's row is appended to
+    skipped.  A record is canonicalized only when its relabelling by
+    nonincreasing degree (ties in vertex order) differs from every earlier
+    record's, since equal relabellings mean isomorphic graphs; each class's
+    canonical graph is built once.  Each class's row is appended to
     ``store`` as soon as it is decided.
     """
     if ks is not None:
@@ -320,6 +308,10 @@ def run_census(
     # one labelled graph, so this holds each labelled graph once, in far less
     # memory than the parsed graphs would take.
     read: set[str] = set()
+    # (p, degree-sorted bits) -> canonical code.  The key is a relabelling of
+    # the graph, so each key has one code, and every relabelled copy of a
+    # graph that sorts by degree to the same key shares one canonical search.
+    codes: dict[tuple[int, int], str] = {}
 
     for lineno, line in enumerate(source, 1):
         record = line.strip()
@@ -340,7 +332,10 @@ def run_census(
             key = emit_graph6(g)
             rows.setdefault(key, CensusRow(key, g.p, g.q, status="skipped"))
             continue
-        code = canonical_form(g, p_max=p_max).decode("ascii")
+        key = (g.p, _degree_sorted_bits(g))
+        code = codes.get(key)
+        if code is None:
+            code = codes[key] = canonical_form(g, p_max=p_max).decode("ascii")
         if code in rows or code in pending:
             continue
         rep = canonical_graph(g, p_max=p_max)

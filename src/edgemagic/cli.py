@@ -2,7 +2,8 @@
 
 Exit codes are a stable contract: 0 success (witness found / conjecture
 holds), 1 negative result (no witness / conjecture fails), 2 usage or input
-error.  ``solve`` prints a witness only once ``verify_labeling`` accepts it.
+error.  ``solve`` prints a witness, and ``classify`` counts a residue as a
+member, only once ``verify_labeling`` accepts the witness.
 Graph streams read standard input when the source argument is "-".
 Caps and defaults fall back to environment variables EDGEMAGIC_P_MAX,
 EDGEMAGIC_P_SPARSE, EDGEMAGIC_STORE, EDGEMAGIC_FORMAT, and EDGEMAGIC_JOBS
@@ -29,7 +30,7 @@ from .generators import (
     named_family,
 )
 from .graphs import P_MAX, Graph6Error, emit_graph6, parse_graph6
-from .solver import classify, is_k_em, verify_labeling, witness_to_json
+from .solver import classify, is_k_em, witness_fault, witness_to_json
 
 
 def _env_int(name: str, default: int) -> int:
@@ -88,9 +89,9 @@ def cmd_solve(args, config: CliConfig) -> int:
     if witness is None:
         print("none")
         return 1
-    result = verify_labeling(g, witness.labeling)
-    if not result.valid or result.c != witness.c:
-        raise ValueError(f"solver witness for k={args.k}, c={witness.c} fails: {result}")
+    fault = witness_fault(g, args.k % g.p, witness)
+    if fault is not None:
+        raise ValueError(f"solver witness for k={args.k}, c={witness.c} fails: {fault}")
     print(witness_to_json(witness, g.p))
     return 0
 

@@ -191,13 +191,33 @@ def _graph_from_bits(n: int, bits: int) -> Graph:
     return _normalized_graph(n, tuple(sorted(edges)))
 
 
+def _bits(p: int, edges) -> int:
+    """Upper-triangle bits of the p-vertex graph with these edges, each pair in either order."""
+    top = p * (p - 1) // 2 - 1
+    bits = 0
+    for u, v in edges:
+        if u > v:
+            u, v = v, u
+        bits |= 1 << (top - v * (v - 1) // 2 - u)
+    return bits
+
+
+def _degree_sorted_bits(g: Graph) -> int:
+    """Upper-triangle bits of g relabelled by nonincreasing degree, ties kept in order.
+
+    The result is a relabelling of g, so graphs with equal bits and p are
+    isomorphic: a cheap key under which relabelled copies often meet.
+    """
+    degrees = g.degrees()
+    rank = [0] * g.p
+    for i, v in enumerate(sorted(range(g.p), key=lambda v: -degrees[v])):
+        rank[v] = i
+    return _bits(g.p, ((rank[u], rank[v]) for u, v in g.edges))
+
+
 def emit_graph6(g: Graph) -> str:
     """Canonical graph6 record for g's labeled adjacency (no header, no newline)."""
-    top = g.p * (g.p - 1) // 2 - 1
-    bits = 0
-    for u, v in g.edges:
-        bits |= 1 << (top - v * (v - 1) // 2 - u)
-    return _record(g.p, bits).decode("ascii")
+    return _record(g.p, _bits(g.p, g.edges)).decode("ascii")
 
 
 def parse_graph6(text: str) -> Graph:

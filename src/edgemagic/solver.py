@@ -347,9 +347,19 @@ def _decide(g: Graph, k: int, plan: _SearchPlan, searches: dict) -> Witness | st
 
 
 def classify(g: Graph) -> KSpectrum:
-    """Full spectrum: which residues k in [0, p-1] make g k-EM."""
-    outcomes = classify_detailed(g)
-    return KSpectrum(g.p, frozenset(k for k, o in outcomes.items() if isinstance(o, Witness)))
+    """Full spectrum: which residues k in [0, p-1] make g k-EM.
+
+    A residue is a member only once ``verify_labeling`` accepts its witness
+    with the c it claims; a witness that fails raises ``ValueError``.
+    """
+    members = []
+    for k, outcome in classify_detailed(g).items():
+        if isinstance(outcome, Witness):
+            fault = witness_fault(g, k, outcome)
+            if fault is not None:
+                raise ValueError(f"solver witness for k={k}, c={outcome.c} fails: {fault}")
+            members.append(k)
+    return KSpectrum(g.p, frozenset(members))
 
 
 def classify_detailed(g: Graph, ks=None) -> dict[int, Witness | str]:
@@ -399,50 +409,52 @@ def enumerate_labelings(g: Graph, k: int, limit: int | None = None) -> list[Witn
     return [_witness_from_residues(g, k, c, rm) for _, c, rm in solutions]
 
 
-def _distinct_permutations(items: list[int]):
-    """Each distinct permutation of items once, in lexicographic order.
-
-    The next-permutation walk (Knuth, TAOCP 7.2.1.2, Algorithm L) produces
-    them one at a time, so a search that stops early never builds the rest.
-    """
-    a = sorted(items)
-    while True:
-        yield tuple(a)
-        i = len(a) - 2
-        while i >= 0 and a[i] >= a[i + 1]:
-            i -= 1
-        if i < 0:
-            return
-        j = len(a) - 1
-        while a[j] <= a[i]:
-            j -= 1
-        a[i], a[j] = a[j], a[i]
-        a[i + 1:] = reversed(a[i + 1:])
-
-
 def brute_force_is_k_em(g: Graph, k: int, q_cap: int = Q_BRUTE) -> Witness | None:
     """Independent oracle: try every distinct residue permutation, no pruning.
 
     Permutations are tried in lexicographic order of their residue tuples
-    over g.edges, so the witness is the first such tuple that is magic.
+    over g.edges, so the witness is the first such tuple that is magic.  The
+    next-permutation walk (Knuth, TAOCP 7.2.1.2, Algorithm L) produces them
+    one at a time, so a search that stops early never builds the rest.  Each
+    step swaps residues within a suffix, and only the vertex sums at the ends
+    of edges whose residue changed are updated.
     """
     if k < 0:
         raise ValueError(f"base label k must be nonnegative, got {k}")
     if g.q > q_cap:
         raise ValueError(f"brute force capped at q={q_cap} (got q={g.q})")
-    p = g.p
+    p, edges = g.p, g.edges
     counts = label_residues(k, g.q, p)
-    residues = [r for r in range(p) for _ in range(counts[r])]
-    for perm in _distinct_permutations(residues):
-        sums = [0] * p
-        for (u, v), r in zip(g.edges, perm):
-            sums[u] += r
-            sums[v] += r
-        c = sums[0] % p
-        if all(s % p == c for s in sums):
-            residue_map = dict(zip(g.edges, perm))
-            return _witness_from_residues(g, k, c, residue_map)
-    return None
+    perm = [r for r in range(p) for _ in range(counts[r])]  # the least permutation
+    n = len(perm)
+    sums = [0] * p  # vertex sums mod p
+    for (u, v), r in zip(edges, perm):
+        sums[u] = (sums[u] + r) % p
+        sums[v] = (sums[v] + r) % p
+    while True:
+        if sums.count(sums[0]) == p:
+            return _witness_from_residues(g, k, sums[0], dict(zip(edges, perm)))
+        i = n - 2
+        while i >= 0 and perm[i] >= perm[i + 1]:
+            i -= 1
+        if i < 0:
+            return None
+        j = n - 1
+        while perm[j] <= perm[i]:
+            j -= 1
+        # Swap positions i and j, then reverse the suffix after i by swapping
+        # its ends inward.  A swap of unequal residues moves four vertex sums.
+        lo, hi = i, j
+        while lo < hi:
+            a, b = perm[lo], perm[hi]
+            if a != b:
+                perm[lo], perm[hi] = b, a
+                (u, v), (x, y) = edges[lo], edges[hi]
+                sums[u] = (sums[u] + b - a) % p
+                sums[v] = (sums[v] + b - a) % p
+                sums[x] = (sums[x] + a - b) % p
+                sums[y] = (sums[y] + a - b) % p
+            lo, hi = (i + 1, n - 1) if lo == i else (lo + 1, hi - 1)
 
 
 def verify_labeling(g: Graph, labeling: Labeling) -> VerifyResult:
@@ -490,6 +502,27 @@ def verify_labeling(g: Graph, labeling: Labeling) -> VerifyResult:
     if violations:
         return VerifyResult(False, None, violations)
     return VerifyResult(True, c, [])
+
+
+def witness_fault(g: Graph, k: int, witness: Witness) -> str | None:
+    """Why ``witness`` fails to prove that g is k-EM, or None when it proves it.
+
+    The proof is ``verify_labeling`` accepting the labeling, for base label
+    k mod p, with the vertex sums the witness claims as c.
+    """
+    if type(witness.c) is not int:
+        return f"witness claims c={witness.c!r}, not an integer"
+    if witness.labeling.k % g.p != k:
+        return f"witness is for k={witness.labeling.k}"
+    try:
+        result = verify_labeling(g, witness.labeling)
+    except ValueError as exc:  # a stored witness may label an edge g lacks
+        return str(exc)
+    if not result.valid:
+        return "; ".join(result.violations)
+    if result.c != witness.c:
+        return f"vertex sums are {result.c} mod {g.p}, witness claims {witness.c}"
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ import pytest
 
 import edgemagic.census as census_mod
 from edgemagic import (
+    canonical_form,
     counting_filter,
     emit_graph6,
     graph_from_edges,
@@ -36,7 +37,7 @@ from edgemagic.census import (
 from edgemagic.generators import SparseSpec, generate_mops, generate_sparse_graphs
 from edgemagic.solver import SOLVER_VERSION
 
-from conftest import random_graph, record_calls
+from conftest import random_graph, random_permutation, record_calls
 
 MOP4_LINES = [emit_graph6(g) for g in generate_mops(4)]
 MOP4_ROW_JSON = (
@@ -45,6 +46,15 @@ MOP4_ROW_JSON = (
     '"ruled_out":{"0":"search-exhausted","1":"counting-filter","3":"counting-filter"},'
     '"status":"ok"}'
 )
+
+
+def degree_sorted_record(g):
+    """g's graph6 record after a stable relabelling by nonincreasing degree."""
+    degrees = g.degrees()
+    rank = [0] * g.p
+    for i, v in enumerate(sorted(range(g.p), key=lambda v: -degrees[v])):
+        rank[v] = i
+    return emit_graph6(relabel(g, rank))
 
 
 def emit_text(rows, format):
@@ -110,12 +120,42 @@ class TestRunCensus:
                   + [">>graph6<<" + labelled[1], edgeless, big, "garbage("] + MOP4_LINES * 2)
         calls = record_calls(monkeypatch, census_mod, ("canonical_form", "canonical_graph"))
         rows = run_census(stream, p_max=10)
-        distinct = {parse_graph6(record) for record in labelled + MOP4_LINES}
-        forms = calls["canonical_form"]
-        assert len(forms) == len(distinct) and set(forms) == distinct
+        # one search per degree-sorted relabelling, on the first record that has it
+        firsts = {}
+        for record in labelled + MOP4_LINES:
+            firsts.setdefault(degree_sorted_record(parse_graph6(record)), parse_graph6(record))
+        assert calls["canonical_form"] == list(firsts.values())
+        assert len(firsts) == 3
         # one canonical graph per class, built from the first record of it
         assert calls["canonical_graph"] == [parse_graph6(labelled[0]), parse_graph6(MOP4_LINES[0])]
         assert [row.status for row in rows] == ["ok", "ok", "skipped"]
+
+    def test_equal_bits_of_different_orders_stay_apart(self, monkeypatch):
+        # The edgeless graphs of orders 2 and 3 both have upper-triangle bits 0.
+        calls = record_calls(monkeypatch, census_mod, ("canonical_form",))
+        rows = run_census(["A?", "B?"], include_empty=True)
+        assert [row.p for row in rows] == [2, 3]
+        assert len(calls["canonical_form"]) == 2
+
+    def test_relabelled_copies_share_one_search(self, monkeypatch, rng):
+        graphs = [random_graph(rng) for _ in range(60)]
+        stream = []
+        for g in graphs:
+            copies = [emit_graph6(relabel(g, random_permutation(rng, g.p))) for _ in range(4)]
+            stream += copies + rng.choices(copies, k=2)
+        rng.shuffle(stream)
+        one_per_class = {canonical_form(g): emit_graph6(g) for g in graphs}.values()
+        expected = run_census(one_per_class)
+        calls = record_calls(monkeypatch, census_mod, ("canonical_form",))
+        rows = run_census(stream)
+        for format in ("csv", "jsonl"):
+            assert emit_text(rows, format) == emit_text(expected, format)
+        firsts = {}
+        for g in map(parse_graph6, stream):
+            if g.q:  # edgeless graphs are left out before any search
+                firsts.setdefault(degree_sorted_record(g), g)
+        assert calls["canonical_form"] == list(firsts.values())
+        assert len(firsts) < len({record for record in stream if parse_graph6(record).q})
 
     def test_over_cap_rows_marked_skipped(self):
         big = named_family("path", 12)

@@ -13,6 +13,7 @@ import pytest
 from edgemagic import emit_graph6, generate_mops, named_family, parse_graph6, verify_labeling
 from edgemagic import cli
 from edgemagic.cli import build_parser, main
+import edgemagic.solver as solver_mod
 from edgemagic.solver import witness_from_json
 
 K2_RECORD = "A_"
@@ -86,6 +87,25 @@ class TestClassify:
         monkeypatch.setattr("sys.stdin", io.StringIO(f"{K2_RECORD}\n"))
         assert main(["classify"]) == 0
         assert capsys.readouterr().out == f"{K2_RECORD}\t0;1\n"
+
+    def test_unverified_member_not_printed(self, tmp_path, capsys, monkeypatch):
+        # The order-4 MOP's k = 2 witness with one label raised past the interval.
+        real = solver_mod.classify_detailed
+
+        def corrupting(g, ks=None):
+            outcomes = real(g, ks)
+            w = outcomes[2]
+            bad = {**w.labeling.assignment, min(w.labeling.assignment): 99}
+            outcomes[2] = replace(w, labeling=replace(w.labeling, assignment=bad))
+            return outcomes
+
+        monkeypatch.setattr(solver_mod, "classify_detailed", corrupting)
+        source = tmp_path / "graphs.g6"
+        source.write_text(f"{MOP4_RECORD}\n")
+        assert main(["classify", str(source)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: solver witness for k=2")
 
 
 class TestGenerate:

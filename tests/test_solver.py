@@ -5,6 +5,7 @@ import itertools
 import json
 import random
 import sys
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -184,6 +185,26 @@ class TestIsKEm:
 class TestClassify:
     def test_order4_mop(self):
         assert classify(MOP4) == KSpectrum(4, frozenset({2}))
+
+    # The solver's order-4 MOP witness at k = 2 with one label raised past
+    # the interval, or with its claimed c moved off the vertex sums.
+    @pytest.mark.parametrize("edit", ["label", "c"])
+    def test_unverified_witness_raises(self, monkeypatch, edit):
+        real = solver_mod.classify_detailed
+
+        def corrupting(g, ks=None):
+            outcomes = real(g, ks)
+            w = outcomes[2]
+            if edit == "c":
+                outcomes[2] = replace(w, c=(w.c + 1) % g.p)
+            else:
+                bad = {**w.labeling.assignment, min(w.labeling.assignment): 99}
+                outcomes[2] = replace(w, labeling=replace(w.labeling, assignment=bad))
+            return outcomes
+
+        monkeypatch.setattr(solver_mod, "classify_detailed", corrupting)
+        with pytest.raises(ValueError, match="solver witness for k=2"):
+            classify(MOP4)
 
     def test_k2(self):
         assert sorted(classify(K2).members) == [0, 1]
