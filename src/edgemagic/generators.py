@@ -7,8 +7,10 @@ reflection.  ``generate_mops`` grows those classes one ear at a time from the
 triangle, keyed by hull degree sequence, and canonicalizes one graph per
 class.  ``triangulations`` enumerates all Catalan(p-2) labeled triangulations
 independently; it is the completeness oracle for the tests.  Sparse
-(p, p-h)-graphs come from plain edge-subset enumeration over the complete
-graph.  Named families supply standard fixtures.
+(p, p-h)-graphs come from edge-subset enumeration over the complete graph,
+with one canonical search per degree-sorted labelled subset: subsets whose
+relabellings by nonincreasing degree agree are isomorphic, so only the first
+is searched.  Named families supply standard fixtures.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from typing import Iterator
 from .graphs import (
     P_MAX,
     Graph,
+    _degree_sorted_bits,
     _normalized_graph,
     canonical_form,
     canonical_graph,
@@ -154,9 +157,12 @@ def generate_by_edge_count(
 ) -> list[Graph]:
     """One canonical representative per isomorphism class with p vertices, q edges.
 
-    Enumerates q-subsets of the complete graph's edges and deduplicates by
-    canonical form, building the canonical graph once per class; returns []
-    when q exceeds C(p, 2).  Sorted by code.
+    Enumerates q-subsets of the complete graph's edges and keys each by its
+    degree-sorted relabelling (``_degree_sorted_bits``).  Equal keys mean
+    isomorphic graphs, so a repeated key is skipped before the connectivity
+    test, and only the first subset with each key gets a canonical search.
+    Classes are deduplicated by canonical form, building the canonical graph
+    once per class; returns [] when q exceeds C(p, 2).  Sorted by code.
     """
     if p < 1 or q < 0:
         raise ValueError(f"need p >= 1 and q >= 0, got p={p}, q={q}")
@@ -166,8 +172,13 @@ def generate_by_edge_count(
     if q > len(all_pairs):
         return []
     by_code: dict[bytes, Graph] = {}
+    keys: set[int] = set()  # degree-sorted keys of the subsets so far
     for subset in itertools.combinations(all_pairs, q):
         g = _normalized_graph(p, subset)  # sorted pairs, in sorted order
+        key = _degree_sorted_bits(g)
+        if key in keys:
+            continue
+        keys.add(key)
         if connected_only and not is_connected(g):
             continue
         code = canonical_form(g, p_max=p)

@@ -208,11 +208,13 @@ def _degree_sorted_bits(g: Graph) -> int:
     The result is a relabelling of g, so graphs with equal bits and p are
     isomorphic: a cheap key under which relabelled copies often meet.
     """
+    p = g.p
     degrees = g.degrees()
-    rank = [0] * g.p
-    for i, v in enumerate(sorted(range(g.p), key=lambda v: -degrees[v])):
+    rank = [0] * p
+    # a reverse sort keeps equal keys in their original order
+    for i, v in enumerate(sorted(range(p), key=degrees.__getitem__, reverse=True)):
         rank[v] = i
-    return _bits(g.p, ((rank[u], rank[v]) for u, v in g.edges))
+    return _bits(p, [(rank[u], rank[v]) for u, v in g.edges])
 
 
 def emit_graph6(g: Graph) -> str:

@@ -4,7 +4,7 @@ import networkx as nx
 import pytest
 from hypothesis import strategies as st
 
-from edgemagic import Graph
+from edgemagic import Graph, emit_graph6, relabel
 
 
 @st.composite
@@ -33,6 +33,15 @@ def random_permutation(rng: random.Random, p: int) -> list[int]:
     perm = list(range(p))
     rng.shuffle(perm)
     return perm
+
+
+def degree_sorted_record(g: Graph) -> str:
+    """g's graph6 record after a stable relabelling by nonincreasing degree."""
+    degrees = g.degrees()
+    rank = [0] * g.p
+    for i, v in enumerate(sorted(range(g.p), key=lambda v: -degrees[v])):
+        rank[v] = i
+    return emit_graph6(relabel(g, rank))
 
 
 def record_calls(monkeypatch, module, names):

@@ -37,7 +37,7 @@ from edgemagic.census import (
 from edgemagic.generators import SparseSpec, generate_mops, generate_sparse_graphs
 from edgemagic.solver import SOLVER_VERSION
 
-from conftest import random_graph, random_permutation, record_calls
+from conftest import degree_sorted_record, random_graph, random_permutation, record_calls
 
 MOP4_LINES = [emit_graph6(g) for g in generate_mops(4)]
 MOP4_ROW_JSON = (
@@ -46,15 +46,6 @@ MOP4_ROW_JSON = (
     '"ruled_out":{"0":"search-exhausted","1":"counting-filter","3":"counting-filter"},'
     '"status":"ok"}'
 )
-
-
-def degree_sorted_record(g):
-    """g's graph6 record after a stable relabelling by nonincreasing degree."""
-    degrees = g.degrees()
-    rank = [0] * g.p
-    for i, v in enumerate(sorted(range(g.p), key=lambda v: -degrees[v])):
-        rank[v] = i
-    return emit_graph6(relabel(g, rank))
 
 
 def emit_text(rows, format):

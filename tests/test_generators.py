@@ -1,10 +1,13 @@
-"""Triangulation enumeration, MOP and sparse generation, named families."""
+"""Triangulation enumeration, MOP and sparse generation, named families, and the
+frozen (p, p-h) spectrum table."""
 
 import hashlib
 import itertools
+from pathlib import Path
 
 import pytest
 
+import edgemagic.generators as generators
 from edgemagic import (
     Graph,
     are_isomorphic,
@@ -14,6 +17,7 @@ from edgemagic import (
     graph_from_edges,
     parse_graph6,
 )
+from edgemagic.census import run_census
 from edgemagic.generators import (
     SparseSpec,
     generate_by_edge_count,
@@ -24,6 +28,10 @@ from edgemagic.generators import (
     triangulation_to_graph,
     triangulations,
 )
+
+from conftest import degree_sorted_record, record_calls
+
+DATA = Path(__file__).parent / "data"
 
 
 def catalan(n: int) -> int:
@@ -119,8 +127,6 @@ class TestGenerateMops:
         assert len(generate_mops(p, p_max=p)) == count
 
     def test_one_canonicalization_per_class(self, monkeypatch):
-        import edgemagic.generators as generators
-
         calls = []
 
         def counted(g, p_max):
@@ -145,6 +151,28 @@ class TestGenerateMops:
             for g in generate_mops(p, p_max=11):
                 h.update(emit_graph6(g).encode() + b" " + repr(g.edges).encode() + b"\n")
         assert h.hexdigest() == self.DIGEST
+
+
+# Every (p, q) with p <= 6, then p = 7 with q <= 7.
+SPARSE_CASES = [(p, q) for p in range(1, 7) for q in range(p * (p - 1) // 2 + 1)]
+SPARSE_CASES += [(7, q) for q in range(8)]
+
+
+@pytest.fixture(scope="module")
+def sparse_runs():
+    """(p, q, connected_only) -> (generate_by_edge_count output, the graphs it
+    passed to each of canonical_form, canonical_graph and is_connected), over
+    SPARSE_CASES and both flag values.  Built once for the tests that read it."""
+    runs = {}
+    with pytest.MonkeyPatch.context() as mp:
+        calls = record_calls(mp, generators, ("canonical_form", "canonical_graph", "is_connected"))
+        for connected_only in (False, True):
+            for p, q in SPARSE_CASES:
+                graphs = generate_by_edge_count(p, q, connected_only)
+                runs[p, q, connected_only] = (graphs, {name: seen[:] for name, seen in calls.items()})
+                for seen in calls.values():
+                    seen.clear()
+    return runs
 
 
 class TestGenerateSparse:
@@ -227,6 +255,63 @@ class TestGenerateSparse:
         counts = [len(generate_by_edge_count(p, q)) for q in range(p * (p - 1) // 2 + 1)]
         assert counts == row
         assert counts == counts[::-1]
+
+    @pytest.mark.parametrize("q,searches,classes", [(7, 1210, 65), (6, 496, 41), (5, 209, 21)])
+    def test_one_search_per_degree_sorted_subset(self, sparse_runs, q, searches, classes):
+        # Subsets of K7 whose degree-sorted relabellings agree share one
+        # canonical search; searching every subset took 116,280, 54,264 and
+        # 20,349 searches.
+        graphs, calls = sparse_runs[7, q, False]
+        assert len(graphs) == classes
+        assert len(calls["canonical_form"]) == searches
+        assert len({degree_sorted_record(g) for g in calls["canonical_form"]}) == searches
+        assert len(calls["canonical_graph"]) == classes
+        assert calls["is_connected"] == []
+        # A repeated key is skipped before the connectivity test.
+        _, calls = sparse_runs[7, q, True]
+        assert calls["is_connected"] == sparse_runs[7, q, False][1]["canonical_form"]
+
+    # SHA-256 over the graph6 code and edge tuple of every
+    # generate_by_edge_count(p, q, connected_only) output, in output order,
+    # for connected_only False then True, each over SPARSE_CASES.  Taken when
+    # every subset was searched; a faster generator must emit the same
+    # representatives in the same order.
+    DIGEST = "a42d2aa96120b1a5d41d13a662a9dd5fad4e3f7c1f9dec106648d0fc28761e86"
+
+    def test_golden_digest(self, sparse_runs):
+        h = hashlib.sha256()
+        for connected_only in (False, True):
+            for p, q in SPARSE_CASES:
+                for g in sparse_runs[p, q, connected_only][0]:
+                    h.update(emit_graph6(g).encode() + b" " + repr(g.edges).encode() + b"\n")
+        assert h.hexdigest() == self.DIGEST
+
+
+def sparse_spectra_table() -> str:
+    """Per (p, h) with p <= 7 and h <= 3: class count and k-EM classes per k.
+
+    One CSV line per (p, p-h) run of ``generate_sparse_graphs`` (h <= p),
+    with fields k0..k6 counting the classes whose spectrum holds k; fields
+    for k >= p are empty.  A q above C(p, 2) has no classes.
+    """
+    lines = ["p,h,q,classes," + ",".join(f"k{k}" for k in range(7))]
+    for p in range(1, 8):
+        for h in range(min(p, 3) + 1):
+            graphs = generate_sparse_graphs(SparseSpec(p, h))
+            rows = run_census([emit_graph6(g) for g in graphs], include_empty=True)
+            assert [row.status for row in rows] == ["ok"] * len(graphs)
+            em = [sum(k in row.spectrum for row in rows) for k in range(p)]
+            lines.append(",".join(map(str, [p, h, p - h, len(rows), *em])) + "," * (7 - p))
+    return "\n".join(lines) + "\n"
+
+
+class TestSparseSpectra:
+    def test_frozen_table(self):
+        # Evidence on the paper's claim (iii), the k-EM (p, p-h)-graphs: the
+        # abstract does not state the characterization, so the table is
+        # checked against itself, not against the theorem.
+        frozen = (DATA / "sparse_spectra_p1_to_7_h0_to_3.csv").read_text()
+        assert sparse_spectra_table() == frozen
 
 
 class TestNamedFamilies:
