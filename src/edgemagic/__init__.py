@@ -4,12 +4,9 @@ from .graphs import (
     P_MAX,
     Graph,
     Graph6Error,
-    are_isomorphic,
     canonical_form,
     canonical_graph,
-    degree_sequence,
     emit_graph6,
-    graph_from_edges,
     parse_graph6,
     relabel,
 )
@@ -27,19 +24,15 @@ from .solver import (
     is_k_em,
     label_residues,
     verify_labeling,
-    witness_from_json,
     witness_to_json,
 )
 from .generators import (
     P_SPARSE,
     SparseSpec,
-    TriangulationCode,
     generate_by_edge_count,
     generate_mops,
     generate_sparse_graphs,
     named_family,
-    triangulation_count,
-    triangulation_to_graph,
     triangulations,
 )
 from .census import (

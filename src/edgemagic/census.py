@@ -138,25 +138,17 @@ def _row_from_dict(payload: dict) -> CensusRow:
     )
 
 
-def row_to_json(row: CensusRow) -> str:
-    return json.dumps(_row_to_dict(row), separators=(",", ":"))
-
-
-def row_from_json(text: str) -> CensusRow:
-    return _row_from_dict(json.loads(text))
-
-
 class CensusStore:
     """Append-only JSONL store of census rows; last entry per code wins.
 
-    Lines written under a different solver version are ignored on load.
-    Single-writer: callers append completed rows from one thread; a line left
-    unterminated by a crash is closed off before the next append.
+    Lines written under a solver version other than ``SOLVER_VERSION`` are
+    ignored on load.  Single-writer: callers append completed rows from one
+    thread; a line left unterminated by a crash is closed off before the next
+    append.
     """
 
-    def __init__(self, path, solver_version: str = SOLVER_VERSION):
+    def __init__(self, path):
         self.path = Path(path)
-        self.solver_version = solver_version
 
     def load(self) -> dict[str, CensusRow]:
         """Rows by code; a line that is not a readable row is logged and skipped."""
@@ -170,7 +162,7 @@ class CensusStore:
                     continue
                 try:
                     payload = json.loads(line)
-                    if payload.pop("solver_version", None) != self.solver_version:
+                    if payload.pop("solver_version", None) != SOLVER_VERSION:
                         continue
                     row = _row_from_dict(payload)
                     rows[row.code] = row
@@ -180,7 +172,7 @@ class CensusStore:
         return rows
 
     def append(self, row: CensusRow) -> None:
-        payload = {**_row_to_dict(row), "solver_version": self.solver_version}
+        payload = {**_row_to_dict(row), "solver_version": SOLVER_VERSION}
         line = json.dumps(payload, separators=(",", ":")) + "\n"
         with self.path.open("ab+") as fh:
             if fh.seek(0, os.SEEK_END):
@@ -370,7 +362,7 @@ def report_emit(rows, format: str, dest) -> None:
             dest.write(f"{row.graph6},{row.p},{row.q},{_spectrum_cell(row)}\n")
     else:
         for row in rows:
-            dest.write(row_to_json(row) + "\n")
+            dest.write(json.dumps(_row_to_dict(row), separators=(",", ":")) + "\n")
 
 
 def rows_from_jsonl(source) -> list[CensusRow]:
@@ -378,7 +370,7 @@ def rows_from_jsonl(source) -> list[CensusRow]:
     if isinstance(source, (str, Path)):
         with open(source) as fh:
             return rows_from_jsonl(fh)
-    return [row_from_json(line) for line in source if line.strip()]
+    return [_row_from_dict(json.loads(line)) for line in source if line.strip()]
 
 
 def is_prime(n: int) -> bool:

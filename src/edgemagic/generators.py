@@ -6,11 +6,12 @@ hull, so its isomorphism classes are the triangulations up to rotation and
 reflection.  ``generate_mops`` grows those classes one ear at a time from the
 triangle, keyed by hull degree sequence, and canonicalizes one graph per
 class.  ``triangulations`` enumerates all Catalan(p-2) labeled triangulations
-independently; it is the completeness oracle for the tests.  Sparse
-(p, p-h)-graphs come from edge-subset enumeration over the complete graph,
-with one canonical search per degree-sorted labelled subset: subsets whose
-relabellings by nonincreasing degree agree are isomorphic, so only the first
-is searched.  Named families supply standard fixtures.
+independently, each as the graph of its hull cycle and chords; it is the
+completeness oracle for the tests.  Sparse (p, p-h)-graphs come from
+edge-subset enumeration over the complete graph, with one canonical search
+per degree-sorted labelled subset: subsets whose relabellings by
+nonincreasing degree agree are isomorphic, so only the first is searched.
+Named families supply standard fixtures.
 """
 
 from __future__ import annotations
@@ -37,14 +38,6 @@ FAMILY_NAMES = ("path", "cycle", "star", "complete", "fan", "wheel", "friendship
 
 
 @dataclass(frozen=True)
-class TriangulationCode:
-    """A triangulation of the convex n-gon: the n-3 pairwise non-crossing chords."""
-
-    n: int
-    diagonals: frozenset[tuple[int, int]]
-
-
-@dataclass(frozen=True)
 class SparseSpec:
     """Parameters of a (p, p-h) run: order p and edge deficiency h >= 0."""
 
@@ -62,43 +55,28 @@ class SparseSpec:
         return self.p - self.h
 
 
-def triangulations(n: int) -> Iterator[TriangulationCode]:
-    """All triangulations of the convex n-gon with vertices 0..n-1 in hull order.
+def triangulations(n: int) -> Iterator[Graph]:
+    """All triangulations of the convex n-gon, each as its hull cycle plus chords.
 
-    Recursion on the base edge (a, b): pick the apex m of the triangle on it,
-    then triangulate both sub-polygons.  Yields Catalan(n-2) codes, each once.
+    Vertices 0..n-1 run in hull order.  Recursion on the base edge (a, b):
+    pick the apex m of the triangle on it, then triangulate both
+    sub-polygons.  Yields Catalan(n-2) graphs, each once.
     """
     if n < 3:
         raise ValueError(f"polygon needs at least 3 vertices, got {n}")
+    hull = tuple((i, i + 1) for i in range(n - 1)) + ((0, n - 1),)
 
-    def chords(a: int, b: int) -> Iterator[frozenset[tuple[int, int]]]:
+    def chords(a: int, b: int) -> Iterator[tuple[tuple[int, int], ...]]:
         if b - a < 2:
-            yield frozenset()
+            yield ()
             return
         for m in range(a + 1, b):
-            own = frozenset(
-                (x, y) for x, y in ((a, m), (m, b)) if y - x >= 2 and (x, y) != (0, n - 1)
-            )
+            own = tuple((x, y) for x, y in ((a, m), (m, b)) if y - x >= 2)
             for left, right in itertools.product(chords(a, m), chords(m, b)):
-                yield own | left | right
+                yield own + left + right
 
-    for diagonal_set in chords(0, n - 1):
-        yield TriangulationCode(n, diagonal_set)
-
-
-def triangulation_to_graph(code: TriangulationCode) -> Graph:
-    """Polygon boundary cycle plus the triangulation's chords."""
-    n = code.n
-    boundary = [(i, (i + 1) % n) for i in range(n)]
-    return Graph(n, tuple(boundary) + tuple(code.diagonals))
-
-
-def triangulation_count(p: int) -> int:
-    """Number of labeled triangulations of the p-gon, counted by enumeration.
-
-    An oracle for tests (it must equal Catalan(p-2)); no generator uses it.
-    """
-    return sum(1 for _ in triangulations(p))
+    for diagonals in chords(0, n - 1):
+        yield Graph(n, hull + diagonals)
 
 
 def _dihedral_min(cyclic: tuple[int, ...]) -> tuple[int, ...]:

@@ -2,9 +2,11 @@
 
 Vertices of a graph on ``p`` vertices are the integers ``0..p-1``.  Edges are
 unordered pairs, stored normalized as ``(u, v)`` with ``u < v`` in a sorted
-tuple.  Canonical forms come from an exact search over degree-respecting
-vertex orderings that keeps the least graph6 columns; the canonical code is
-read off those columns and the canonical graph is built from them, with no
+tuple.  ``Graph(p, edges)`` is the one checked constructor, and two graphs
+are isomorphic exactly when their ``canonical_form`` codes are equal.
+Canonical forms come from an exact search over degree-respecting vertex
+orderings that keeps the least graph6 columns; the canonical code is read
+off those columns and the canonical graph is built from them, with no
 relabeled copy in between.  The search stops any branch whose columns exceed
 the best found and tries one vertex of each twin class, but its worst case
 still grows factorially, so it refuses graphs over a cap (default
@@ -15,8 +17,6 @@ without checking or sorting their edges again.
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from collections import deque
 from dataclasses import dataclass
 
 # Default cap for canonicalization (exact search over degree-respecting orderings).
@@ -37,19 +37,24 @@ class Graph:
     """An undirected simple graph with vertices 0..p-1.
 
     Edges are normalized on construction: each pair stored as (u, v) with
-    u < v, the tuple sorted, duplicates and self-loops rejected.
+    u < v, the tuple sorted, duplicates and self-loops rejected.  The order
+    and every vertex must be of type int (not bool).
     """
 
     p: int
     edges: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
+        if type(self.p) is not int:
+            raise ValueError(f"order must be an int, got {self.p!r}")
         if self.p < 1:
             raise ValueError(f"graph needs at least one vertex, got p={self.p}")
         normalized = []
         seen = set()
         for pair in self.edges:
             u, v = pair
+            if type(u) is not int or type(v) is not int:
+                raise ValueError(f"edge ({u!r}, {v!r}) has a vertex that is not an int")
             if u == v:
                 raise ValueError(f"self-loop ({u}, {v}) not allowed")
             if not (0 <= u < self.p and 0 <= v < self.p):
@@ -81,11 +86,6 @@ class Graph:
             masks[v] |= 1 << u
         return masks
 
-    def has_edge(self, u: int, v: int) -> bool:
-        pair = (v, u) if u > v else (u, v)
-        i = bisect_left(self.edges, pair)
-        return i < len(self.edges) and self.edges[i] == pair
-
 
 def _normalized_graph(p: int, edges: tuple[tuple[int, int], ...]) -> Graph:
     """A Graph from edges already normalized, skipping the checks and the sort.
@@ -99,16 +99,6 @@ def _normalized_graph(p: int, edges: tuple[tuple[int, int], ...]) -> Graph:
     return g
 
 
-def graph_from_edges(p: int, edges) -> Graph:
-    """Build a normalized Graph, rejecting out-of-range, loop, and duplicate pairs."""
-    return Graph(p, tuple(edges))
-
-
-def degree_sequence(g: Graph) -> list[int]:
-    """Vertex degrees in nonincreasing order; sums to 2q."""
-    return sorted(g.degrees(), reverse=True)
-
-
 def relabel(g: Graph, perm) -> Graph:
     """Apply a vertex permutation: vertex v of g becomes perm[v]."""
     perm = list(perm)
@@ -117,33 +107,17 @@ def relabel(g: Graph, perm) -> Graph:
     return Graph(g.p, tuple((perm[u], perm[v]) for u, v in g.edges))
 
 
-def connected_components(g: Graph) -> list[list[int]]:
-    """Vertex sets of the connected components, each sorted, ordered by minimum vertex."""
-    masks = g.adjacency_masks()
-    seen = [False] * g.p
-    components = []
-    for start in range(g.p):
-        if seen[start]:
-            continue
-        seen[start] = True
-        comp = [start]
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
-            m = masks[v]
-            while m:
-                w = (m & -m).bit_length() - 1
-                m &= m - 1
-                if not seen[w]:
-                    seen[w] = True
-                    comp.append(w)
-                    queue.append(w)
-        components.append(sorted(comp))
-    return components
-
-
 def is_connected(g: Graph) -> bool:
-    return len(connected_components(g)) == 1
+    """True when every vertex is reachable from vertex 0."""
+    masks = g.adjacency_masks()
+    seen = frontier = 1
+    while frontier:
+        low = frontier & -frontier
+        frontier ^= low
+        new = masks[low.bit_length() - 1] & ~seen
+        seen |= new
+        frontier |= new
+    return seen == (1 << g.p) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -379,9 +353,3 @@ def canonical_form(g: Graph, p_max: int = P_MAX) -> bytes:
     the search; no relabeled graph is built.
     """
     return _record(g.p, _canonical_bits(g, p_max))
-
-
-def are_isomorphic(g: Graph, h: Graph, p_max: int = P_MAX) -> bool:
-    if g.p != h.p or g.q != h.q or degree_sequence(g) != degree_sequence(h):
-        return False
-    return canonical_form(g, p_max=p_max) == canonical_form(h, p_max=p_max)

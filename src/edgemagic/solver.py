@@ -546,7 +546,3 @@ def witness_from_dict(payload: dict) -> tuple[Witness, int]:
 
 def witness_to_json(witness: Witness, p: int) -> str:
     return json.dumps(witness_to_dict(witness, p), separators=(",", ":"))
-
-
-def witness_from_json(text: str) -> tuple[Witness, int]:
-    return witness_from_dict(json.loads(text))

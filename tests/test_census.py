@@ -13,10 +13,10 @@ import pytest
 
 import edgemagic.census as census_mod
 from edgemagic import (
+    Graph,
     canonical_form,
     counting_filter,
     emit_graph6,
-    graph_from_edges,
     named_family,
     parse_graph6,
     relabel,
@@ -29,8 +29,6 @@ from edgemagic.census import (
     check_mop_conjecture,
     is_prime,
     report_emit,
-    row_from_json,
-    row_to_json,
     rows_from_jsonl,
     run_census,
 )
@@ -105,7 +103,7 @@ class TestRunCensus:
         mop = generate_mops(6)[0]
         labelled = [emit_graph6(relabel(mop, perm))
                     for perm in ([0, 1, 2, 3, 4, 5], [5, 4, 3, 2, 1, 0], [1, 0, 2, 3, 4, 5])]
-        edgeless = emit_graph6(graph_from_edges(3, []))
+        edgeless = emit_graph6(Graph(3))
         big = emit_graph6(named_family("path", 12))
         stream = (labelled + ["garbage(", edgeless, big] + labelled[::-1]
                   + [">>graph6<<" + labelled[1], edgeless, big, "garbage("] + MOP4_LINES * 2)
@@ -157,7 +155,7 @@ class TestRunCensus:
         assert skipped[0].p == 12 and skipped[0].spectrum == ()
 
     def test_edgeless_excluded_by_default(self):
-        edgeless = emit_graph6(graph_from_edges(2, []))
+        edgeless = emit_graph6(Graph(2))
         assert run_census([edgeless]) == []
         rows = run_census([edgeless], include_empty=True)
         assert len(rows) == 1 and rows[0].spectrum == (0, 1)
@@ -228,10 +226,13 @@ class TestStore:
         assert rows[0].spectrum == (2,)
         assert seen == [(0, 1, 3)]  # k=2 came from the store
 
-    def test_version_mismatch_ignored(self, tmp_path):
+    def test_version_mismatch_ignored(self, tmp_path, monkeypatch):
         store_path = tmp_path / "store.jsonl"
-        run_census(MOP4_LINES, store=CensusStore(store_path, solver_version="old"))
-        cached = CensusStore(store_path, solver_version="new").load()
+        with monkeypatch.context() as m:
+            m.setattr(census_mod, "SOLVER_VERSION", "old")
+            run_census(MOP4_LINES, store=CensusStore(store_path))
+        assert '"solver_version":"old"' in store_path.read_text()
+        cached = CensusStore(store_path).load()
         assert cached == {}
 
     def test_append_only_last_wins(self, tmp_path):
@@ -379,7 +380,7 @@ class TestStore:
     def test_store_line_that_is_not_a_row_is_skipped(self, tmp_path, caplog, line):
         store_path = tmp_path / "store.jsonl"
         store_path.write_text(json.dumps(self.MOP4_STORED) + "\n" + line + "\n")
-        row = row_from_json(MOP4_ROW_JSON)
+        row = rows_from_jsonl([MOP4_ROW_JSON])[0]
         assert CensusStore(store_path).load() == {row.code: row}
         assert "line 2 unreadable" in caplog.text
 
@@ -447,7 +448,7 @@ class TestStore:
 
 class TestReports:
     def test_csv_single_k2_row(self):
-        rows = run_census([emit_graph6(graph_from_edges(2, [(0, 1)]))])
+        rows = run_census([emit_graph6(Graph(2, [(0, 1)]))])
         text = emit_text(rows, "csv")
         assert text == "graph6,p,q,spectrum\nA_,2,1,0;1\n"
 
@@ -479,13 +480,14 @@ class TestReports:
 
     def test_row_json_carries_witnesses(self):
         rows = run_census(MOP4_LINES)
-        payload = json.loads(row_to_json(rows[0]))
+        line = emit_text(rows[:1], "jsonl")
+        payload = json.loads(line)
         assert payload["witnesses"]["2"]["p"] == 4
-        assert row_from_json(row_to_json(rows[0])) == rows[0]
+        assert rows_from_jsonl([line]) == rows[:1]
 
     def test_row_json_bytes_pinned(self, tmp_path):
         row = run_census(MOP4_LINES)[0]
-        assert row_to_json(row) == MOP4_ROW_JSON
+        assert emit_text([row], "jsonl") == MOP4_ROW_JSON + "\n"
         store_path = tmp_path / "store.jsonl"
         CensusStore(store_path).append(row)
         assert store_path.read_text() == MOP4_ROW_JSON[:-1] + ',"solver_version":"2"}\n'

@@ -14,7 +14,7 @@ from edgemagic import emit_graph6, generate_mops, named_family, parse_graph6, ve
 from edgemagic import cli
 from edgemagic.cli import build_parser, main
 import edgemagic.solver as solver_mod
-from edgemagic.solver import witness_from_json
+from edgemagic.solver import witness_from_dict
 
 K2_RECORD = "A_"
 MOP4_RECORD = emit_graph6(generate_mops(4)[0])
@@ -26,7 +26,7 @@ class TestSolve:
     def test_witness_found(self, capsys):
         assert main(["solve", K2_RECORD, "--k", "0"]) == 0
         out = capsys.readouterr().out.strip()
-        witness, p = witness_from_json(out)
+        witness, p = witness_from_dict(json.loads(out))
         assert p == 2 and verify_labeling(parse_graph6(K2_RECORD), witness.labeling).valid
 
     def test_mop4_at_two(self, capsys):
@@ -372,3 +372,33 @@ class TestReadme:
                 assert re.fullmatch(pattern, repr(value)), line
                 shown += 1
         assert shown == 4
+
+
+class TestPublicSurface:
+    # Public functions that only tests call, each kept as a reference.
+    TEST_REFERENCES = {
+        "relabel": "the tests build isomorphic copies of a graph with it",
+        "enumerate_labelings": "the solver tests pin every solution of the search through it",
+    }
+
+    def test_every_public_function_has_a_caller(self):
+        # A module-level public function of the package must be referenced by
+        # package code outside its own def (re-exports do not count), by the
+        # benchmark, or by README; otherwise it restates another name.
+        root = Path(__file__).resolve().parents[1]
+        package = root / "src" / "edgemagic"
+        defined = {}  # name -> (path, line) of its def
+        sites = {}  # name -> {(path, line) of each top-level statement using it}
+        for path in [*package.glob("*.py"), *(root / "bench").glob("*.py")]:
+            for top in ast.parse(path.read_text()).body:
+                if (path.parent == package and isinstance(top, ast.FunctionDef)
+                        and not top.name.startswith("_")):
+                    defined[top.name] = (path, top.lineno)
+                for node in ast.walk(top):
+                    if isinstance(node, (ast.Name, ast.Attribute)):
+                        name = node.id if isinstance(node, ast.Name) else node.attr
+                        sites.setdefault(name, set()).add((path, top.lineno))
+        in_readme = set(re.findall(r"\w+", README.read_text()))
+        unused = {name for name, site in defined.items()
+                  if not sites.get(name, set()) - {site} and name not in in_readme}
+        assert sorted(unused - set(self.TEST_REFERENCES)) == []

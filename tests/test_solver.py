@@ -22,23 +22,21 @@ from edgemagic import (
     counting_filter,
     emit_graph6,
     enumerate_labelings,
-    graph_from_edges,
     is_k_em,
     label_residues,
     parse_graph6,
     relabel,
     verify_labeling,
-    witness_from_json,
     witness_to_json,
 )
 import edgemagic.solver as solver_mod
 from edgemagic.generators import generate_by_edge_count, generate_mops, named_family
-from edgemagic.solver import Q_BRUTE, witness_to_dict
+from edgemagic.solver import Q_BRUTE, witness_from_dict, witness_to_dict
 
 from conftest import graph_strategy, random_graph, record_calls
 
-MOP4 = graph_from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])
-K2 = graph_from_edges(2, [(0, 1)])
+MOP4 = Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])
+K2 = Graph(2, [(0, 1)])
 
 
 def oracle_residue_solutions(g, k):
@@ -173,7 +171,7 @@ class TestIsKEm:
             assert w is not None and w.c == 0 and w.labeling.assignment == {}
 
     def test_isolated_vertex_forces_c_zero(self):
-        g = graph_from_edges(3, [(0, 1)])  # K2 plus an isolated vertex
+        g = Graph(3, [(0, 1)])  # K2 plus an isolated vertex
         assert sorted(classify(g).members) == [0]
         w = is_k_em(g, 0)
         assert w is not None and w.c == 0
@@ -505,7 +503,7 @@ class TestWitnessJson:
 
     def test_round_trip(self):
         w = is_k_em(MOP4, 2)
-        restored, p = witness_from_json(witness_to_json(w, 4))
+        restored, p = witness_from_dict(json.loads(witness_to_json(w, 4)))
         assert p == 4 and restored == w
 
     def test_labeling_normalizes_edge_keys(self):
