@@ -20,9 +20,9 @@ else "search-exhausted"); any other is decided again and the corrected row
 appended.  A run makes one canonical search per distinct degree-sorted
 relabelling of its records: a record that repeats one read earlier is parsed
 and then skipped, and a record whose stable relabelling by nonincreasing
-degree matches an earlier record's takes that record's canonical code.  The
-canonical code decides the class; its canonical graph is built only for a
-class not seen before in the run.
+degree matches an earlier record's is isomorphic to it, so it is skipped too.
+One search per new key gives both the code and the representative: the
+canonical graph, whose graph6 record is the class's code.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ from .graphs import (
     Graph,
     Graph6Error,
     _degree_sorted_bits,
-    canonical_form,
     canonical_graph,
     emit_graph6,
     parse_graph6,
@@ -278,9 +277,9 @@ def run_census(
     A record of a labelled graph read earlier in the run is parsed and then
     skipped.  A record is canonicalized only when its relabelling by
     nonincreasing degree (ties in vertex order) differs from every earlier
-    record's, since equal relabellings mean isomorphic graphs; each class's
-    canonical graph is built once.  Each class's row is appended to
-    ``store`` as soon as it is decided.
+    record's, since equal relabellings mean isomorphic graphs; one search per
+    new key gives both the code and the representative.  Each class's row is
+    appended to ``store`` as soon as it is decided.
     """
     if ks is not None:
         ks = list(ks)
@@ -300,10 +299,10 @@ def run_census(
     # one labelled graph, so this holds each labelled graph once, in far less
     # memory than the parsed graphs would take.
     read: set[str] = set()
-    # (p, degree-sorted bits) -> canonical code.  The key is a relabelling of
-    # the graph, so each key has one code, and every relabelled copy of a
-    # graph that sorts by degree to the same key shares one canonical search.
-    codes: dict[tuple[int, int], str] = {}
+    # (p, degree-sorted bits) of the records searched so far.  An equal key
+    # means an isomorphic graph with equal p and q, whose class the earlier
+    # record, past the same edgeless and cap checks, put in rows or pending.
+    keys: set[tuple[int, int]] = set()
 
     for lineno, line in enumerate(source, 1):
         record = line.strip()
@@ -325,12 +324,13 @@ def run_census(
             rows.setdefault(key, CensusRow(key, g.p, g.q, status="skipped"))
             continue
         key = (g.p, _degree_sorted_bits(g))
-        code = codes.get(key)
-        if code is None:
-            code = codes[key] = canonical_form(g, p_max=p_max).decode("ascii")
+        if key in keys:
+            continue
+        keys.add(key)
+        rep = canonical_graph(g, p_max=p_max)
+        code = emit_graph6(rep)
         if code in rows or code in pending:
             continue
-        rep = canonical_graph(g, p_max=p_max)
         requested = tuple(range(g.p)) if ks is None else tuple(sorted({k % g.p for k in ks}))
         outcomes = _stored_outcomes(cached[code], rep) if code in cached else {}
         if all(k in outcomes for k in requested):

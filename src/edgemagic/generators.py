@@ -25,7 +25,6 @@ from .graphs import (
     Graph,
     _degree_sorted_bits,
     _normalized_graph,
-    canonical_form,
     canonical_graph,
     emit_graph6,
     is_connected,
@@ -139,8 +138,9 @@ def generate_by_edge_count(
     degree-sorted relabelling (``_degree_sorted_bits``).  Equal keys mean
     isomorphic graphs, so a repeated key is skipped before the connectivity
     test, and only the first subset with each key gets a canonical search.
-    Classes are deduplicated by canonical form, building the canonical graph
-    once per class; returns [] when q exceeds C(p, 2).  Sorted by code.
+    That one search gives the class's representative, the canonical graph,
+    whose graph6 record is the code that classes are deduplicated and sorted
+    by; returns [] when q exceeds C(p, 2).
     """
     if p < 1 or q < 0:
         raise ValueError(f"need p >= 1 and q >= 0, got p={p}, q={q}")
@@ -149,7 +149,7 @@ def generate_by_edge_count(
     all_pairs = list(itertools.combinations(range(p), 2))
     if q > len(all_pairs):
         return []
-    by_code: dict[bytes, Graph] = {}
+    by_code: dict[str, Graph] = {}
     keys: set[int] = set()  # degree-sorted keys of the subsets so far
     for subset in itertools.combinations(all_pairs, q):
         g = _normalized_graph(p, subset)  # sorted pairs, in sorted order
@@ -159,9 +159,8 @@ def generate_by_edge_count(
         keys.add(key)
         if connected_only and not is_connected(g):
             continue
-        code = canonical_form(g, p_max=p)
-        if code not in by_code:
-            by_code[code] = canonical_graph(g, p_max=p)
+        rep = canonical_graph(g, p_max=p)
+        by_code.setdefault(emit_graph6(rep), rep)
     return [by_code[key] for key in sorted(by_code)]
 
 

@@ -5,14 +5,15 @@ unordered pairs, stored normalized as ``(u, v)`` with ``u < v`` in a sorted
 tuple.  ``Graph(p, edges)`` is the one checked constructor, and two graphs
 are isomorphic exactly when their ``canonical_form`` codes are equal.
 Canonical forms come from an exact search over degree-respecting vertex
-orderings that keeps the least graph6 columns; the canonical code is read
-off those columns and the canonical graph is built from them, with no
-relabeled copy in between.  The search stops any branch whose columns exceed
-the best found and tries one vertex of each twin class, but its worst case
-still grows factorially, so it refuses graphs over a cap (default
-``P_MAX = 10``) that callers raise explicitly for larger runs.  Decoded and
-canonical graphs come out of the bits already normalized, so they are built
-without checking or sorting their edges again.
+orderings that keeps the least graph6 columns.  ``canonical_graph`` is the
+one entry to that search: it builds the canonical graph from those columns,
+and the canonical code is that graph's graph6 record, so one search gives
+both.  The search stops any branch whose columns exceed the best found and
+tries one vertex of each twin class, but its worst case still grows
+factorially, so it refuses graphs over a cap (default ``P_MAX = 10``) that
+callers raise explicitly for larger runs.  Decoded and canonical graphs come
+out of the bits already normalized, so they are built without checking or
+sorting their edges again.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ class Graph6Error(ValueError):
     """Raised for malformed graph6 records."""
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class Graph:
     """An undirected simple graph with vertices 0..p-1.
 
@@ -102,6 +103,9 @@ def _normalized_graph(p: int, edges: tuple[tuple[int, int], ...]) -> Graph:
 def relabel(g: Graph, perm) -> Graph:
     """Apply a vertex permutation: vertex v of g becomes perm[v]."""
     perm = list(perm)
+    for v in perm:
+        if type(v) is not int:
+            raise ValueError(f"permutation entry {v!r} is not an int")
     if sorted(perm) != list(range(g.p)):
         raise ValueError(f"not a permutation of 0..{g.p - 1}: {perm}")
     return Graph(g.p, tuple((perm[u], perm[v]) for u, v in g.edges))
@@ -140,16 +144,6 @@ def _encode_n(n: int) -> bytes:
     if n <= 258047:
         return b"~" + bytes(((n >> shift) & 0x3F) + _G6_MIN for shift in (12, 6, 0))
     raise Graph6Error(f"vertex count {n} too large for this encoder")
-
-
-def _record(n: int, bits: int) -> bytes:
-    """The graph6 record of the n-vertex graph whose upper-triangle bits are ``bits``."""
-    nbits = n * (n - 1) // 2
-    pad = -nbits % 6
-    bits <<= pad
-    return _encode_n(n) + bytes(
-        ((bits >> shift) & 0x3F) + _G6_MIN for shift in range(nbits + pad - 6, -1, -6)
-    )
 
 
 def _graph_from_bits(n: int, bits: int) -> Graph:
@@ -193,7 +187,11 @@ def _degree_sorted_bits(g: Graph) -> int:
 
 def emit_graph6(g: Graph) -> str:
     """Canonical graph6 record for g's labeled adjacency (no header, no newline)."""
-    return _record(g.p, _bits(g.p, g.edges)).decode("ascii")
+    nbits = g.p * (g.p - 1) // 2
+    pad = -nbits % 6
+    bits = _bits(g.p, g.edges) << pad
+    body = bytes(((bits >> shift) & 0x3F) + _G6_MIN for shift in range(nbits + pad - 6, -1, -6))
+    return (_encode_n(g.p) + body).decode("ascii")
 
 
 def parse_graph6(text: str) -> Graph:
@@ -348,8 +346,9 @@ def canonical_graph(g: Graph, p_max: int = P_MAX) -> Graph:
 def canonical_form(g: Graph, p_max: int = P_MAX) -> bytes:
     """Relabeling-invariant byte code identifying g's isomorphism class.
 
-    Codes are graph6 records of the canonical relabeling, so they sort by
-    vertex count first and are directly decodable.  The record is read off
-    the search; no relabeled graph is built.
+    Codes are graph6 records of ``canonical_graph(g)``, so they sort by
+    vertex count first and are directly decodable.  A caller that needs the
+    canonical graph too calls ``canonical_graph`` and reads the code off it
+    with ``emit_graph6``, making one search for both.
     """
-    return _record(g.p, _canonical_bits(g, p_max))
+    return emit_graph6(canonical_graph(g, p_max)).encode("ascii")

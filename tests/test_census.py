@@ -12,6 +12,8 @@ from dataclasses import replace
 import pytest
 
 import edgemagic.census as census_mod
+import edgemagic.generators as generators_mod
+import edgemagic.graphs as graphs_mod
 from edgemagic import (
     Graph,
     canonical_form,
@@ -107,24 +109,22 @@ class TestRunCensus:
         big = emit_graph6(named_family("path", 12))
         stream = (labelled + ["garbage(", edgeless, big] + labelled[::-1]
                   + [">>graph6<<" + labelled[1], edgeless, big, "garbage("] + MOP4_LINES * 2)
-        calls = record_calls(monkeypatch, census_mod, ("canonical_form", "canonical_graph"))
+        calls = record_calls(monkeypatch, census_mod, ("canonical_graph",))
         rows = run_census(stream, p_max=10)
         # one search per degree-sorted relabelling, on the first record that has it
         firsts = {}
         for record in labelled + MOP4_LINES:
             firsts.setdefault(degree_sorted_record(parse_graph6(record)), parse_graph6(record))
-        assert calls["canonical_form"] == list(firsts.values())
+        assert calls["canonical_graph"] == list(firsts.values())
         assert len(firsts) == 3
-        # one canonical graph per class, built from the first record of it
-        assert calls["canonical_graph"] == [parse_graph6(labelled[0]), parse_graph6(MOP4_LINES[0])]
         assert [row.status for row in rows] == ["ok", "ok", "skipped"]
 
     def test_equal_bits_of_different_orders_stay_apart(self, monkeypatch):
         # The edgeless graphs of orders 2 and 3 both have upper-triangle bits 0.
-        calls = record_calls(monkeypatch, census_mod, ("canonical_form",))
+        calls = record_calls(monkeypatch, census_mod, ("canonical_graph",))
         rows = run_census(["A?", "B?"], include_empty=True)
         assert [row.p for row in rows] == [2, 3]
-        assert len(calls["canonical_form"]) == 2
+        assert len(calls["canonical_graph"]) == 2
 
     def test_relabelled_copies_share_one_search(self, monkeypatch, rng):
         graphs = [random_graph(rng) for _ in range(60)]
@@ -135,7 +135,7 @@ class TestRunCensus:
         rng.shuffle(stream)
         one_per_class = {canonical_form(g): emit_graph6(g) for g in graphs}.values()
         expected = run_census(one_per_class)
-        calls = record_calls(monkeypatch, census_mod, ("canonical_form",))
+        calls = record_calls(monkeypatch, census_mod, ("canonical_graph",))
         rows = run_census(stream)
         for format in ("csv", "jsonl"):
             assert emit_text(rows, format) == emit_text(expected, format)
@@ -143,8 +143,19 @@ class TestRunCensus:
         for g in map(parse_graph6, stream):
             if g.q:  # edgeless graphs are left out before any search
                 firsts.setdefault(degree_sorted_record(g), g)
-        assert calls["canonical_form"] == list(firsts.values())
+        assert calls["canonical_graph"] == list(firsts.values())
         assert len(firsts) < len({record for record in stream if parse_graph6(record).q})
+
+    def test_every_search_goes_through_canonical_graph(self, monkeypatch):
+        # The benchmark counts searches by wrapping canonical_graph, so every
+        # search the generator and the census make must go through it.
+        searches = record_calls(monkeypatch, graphs_mod, ("_canonical_bits",))
+        generated = record_calls(monkeypatch, generators_mod, ("canonical_graph",))
+        censused = record_calls(monkeypatch, census_mod, ("canonical_graph",))
+        graphs = generate_sparse_graphs(SparseSpec(6, 0))
+        rows = run_census(emit_graph6(g) for g in graphs)
+        assert len(rows) == len(censused["canonical_graph"]) == len(graphs) == 21
+        assert searches["_canonical_bits"] == generated["canonical_graph"] + censused["canonical_graph"]
 
     def test_over_cap_rows_marked_skipped(self):
         big = named_family("path", 12)
@@ -510,9 +521,9 @@ class TestConjecture:
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_order_seven_canonicalizes_and_parses_nothing(self, monkeypatch, jobs):
-        calls = record_calls(monkeypatch, census_mod, ("canonical_form", "canonical_graph", "parse_graph6"))
+        calls = record_calls(monkeypatch, census_mod, ("canonical_graph", "parse_graph6"))
         verdict = check_mop_conjecture(7, jobs=jobs)
-        assert calls == {"canonical_form": [], "canonical_graph": [], "parse_graph6": []}
+        assert calls == {"canonical_graph": [], "parse_graph6": []}
         assert verdict == ConjectureVerdict(
             p=7, counterexamples=(), checked=4, filter_admits=(2,))
 

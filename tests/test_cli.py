@@ -402,3 +402,20 @@ class TestPublicSurface:
         unused = {name for name, site in defined.items()
                   if not sites.get(name, set()) - {site} and name not in in_readme}
         assert sorted(unused - set(self.TEST_REFERENCES)) == []
+
+    def test_one_entry_to_the_canonical_search(self):
+        # The benchmark counts canonical searches by wrapping canonical_graph,
+        # so it must be the search's only caller, and only graphs may build
+        # canonical_form on top of it (__init__ re-exports the name).
+        package = Path(__file__).resolve().parents[1] / "src" / "edgemagic"
+        sites = {"_canonical_bits": set(), "canonical_form": set()}
+        for path in package.glob("*.py"):
+            for top in ast.parse(path.read_text()).body:
+                for node in ast.walk(top):
+                    name = (node.id if isinstance(node, ast.Name) else
+                            node.attr if isinstance(node, ast.Attribute) else
+                            node.name if isinstance(node, ast.alias) else None)
+                    if name in sites:
+                        sites[name].add((path.stem, getattr(top, "name", None)))
+        assert sites["_canonical_bits"] == {("graphs", "canonical_graph")}
+        assert {module for module, _ in sites["canonical_form"]} <= {"graphs", "__init__"}

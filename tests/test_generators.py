@@ -156,11 +156,11 @@ SPARSE_CASES += [(7, q) for q in range(8)]
 @pytest.fixture(scope="module")
 def sparse_runs():
     """(p, q, connected_only) -> (generate_by_edge_count output, the graphs it
-    passed to each of canonical_form, canonical_graph and is_connected), over
+    passed to each of canonical_graph and is_connected), over
     SPARSE_CASES and both flag values.  Built once for the tests that read it."""
     runs = {}
     with pytest.MonkeyPatch.context() as mp:
-        calls = record_calls(mp, generators, ("canonical_form", "canonical_graph", "is_connected"))
+        calls = record_calls(mp, generators, ("canonical_graph", "is_connected"))
         for connected_only in (False, True):
             for p, q in SPARSE_CASES:
                 graphs = generate_by_edge_count(p, q, connected_only)
@@ -258,13 +258,12 @@ class TestGenerateSparse:
         # 20,349 searches.
         graphs, calls = sparse_runs[7, q, False]
         assert len(graphs) == classes
-        assert len(calls["canonical_form"]) == searches
-        assert len({degree_sorted_record(g) for g in calls["canonical_form"]}) == searches
-        assert len(calls["canonical_graph"]) == classes
+        assert len(calls["canonical_graph"]) == searches
+        assert len({degree_sorted_record(g) for g in calls["canonical_graph"]}) == searches
         assert calls["is_connected"] == []
         # A repeated key is skipped before the connectivity test.
         _, calls = sparse_runs[7, q, True]
-        assert calls["is_connected"] == sparse_runs[7, q, False][1]["canonical_form"]
+        assert calls["is_connected"] == sparse_runs[7, q, False][1]["canonical_graph"]
 
     # SHA-256 over the graph6 code and edge tuple of every
     # generate_by_edge_count(p, q, connected_only) output, in output order,

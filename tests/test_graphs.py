@@ -80,6 +80,13 @@ class TestConstruction:
         with pytest.raises(ValueError, match="not an int"):
             relabel(Graph(2, ((0, 1),)), [1.0, 0.0])
 
+    @pytest.mark.parametrize("perm", [[1.0, 0.0], [True, False, 2], [0, 1, 2.0]],
+                             ids=["float", "bool", "last-float"])
+    def test_relabel_rejects_non_int_permutation_of_edgeless_graph(self, perm):
+        # with no edges, no Graph vertex check sees the permutation's entries
+        with pytest.raises(ValueError, match="not an int"):
+            relabel(Graph(len(perm)), perm)
+
     def test_components(self):
         g = Graph(5, [(0, 1), (3, 4)])
         assert not is_connected(g)
