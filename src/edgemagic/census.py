@@ -13,7 +13,8 @@ runs reuse earlier work instead of recomputing.  A row holds each residue's
 outcome once, as a witness or a reason; the graph6, spectrum and ks derived
 from them are written for readers and ignored on load.
 Every witness passes ``verify_labeling`` before its row is stored or served:
-a fresh one that fails is a solver fault and stops the run.  A stored residue
+the solver checks each fresh one as it builds it, and one that fails is a
+solver fault that stops the run with ``ValueError``.  A stored residue
 is reused only with a witness that verifies or the exclusion reason the
 counting filter implies for it ("counting-filter" where the filter rejects k,
 else "search-exhausted"); any other is decided again and the corrected row
@@ -154,19 +155,20 @@ class CensusStore:
         rows: dict[str, CensusRow] = {}
         if not self.path.exists():
             return rows
-        with self.path.open() as fh:
+        with self.path.open("rb") as fh:  # decoded per line, so a bad byte spoils one line
             for lineno, line in enumerate(fh, 1):
                 line = line.strip()
                 if not line:
                     continue
                 try:
-                    payload = json.loads(line)
+                    payload = json.loads(line.decode("utf-8", "strict"))
                     if payload.pop("solver_version", None) != SOLVER_VERSION:
                         continue
                     row = _row_from_dict(payload)
                     rows[row.code] = row
                 except (ValueError, KeyError, TypeError, AttributeError) as exc:
-                    # JSON that is not a row fails on a missing field or a wrong type
+                    # A byte that is not UTF-8 fails to decode (a ValueError); JSON
+                    # that is not a row fails on a missing field or a wrong type.
                     logger.warning("store %s line %d unreadable: %s", self.path, lineno, exc)
         return rows
 
@@ -222,8 +224,9 @@ def _decide_classes(classes, store: CensusStore | None, jobs: int):
     """Decide each class's missing residues; yield (code, row) in input order.
 
     ``classes`` holds (code, representative, known outcomes, requested
-    residues).  A fresh witness that fails ``verify_labeling`` stops the run;
-    each row, with all its class knows, is appended to ``store`` once decided.
+    residues).  Each row, with all its class knows, is appended to ``store``
+    once decided.  ``classify_detailed`` has checked every fresh witness, and
+    its ``ValueError`` for one that fails stops the run.
     """
     classes = list(classes)
     work = [(rep, tuple(k for k in requested if k not in known))
@@ -240,9 +243,6 @@ def _decide_classes(classes, store: CensusStore | None, jobs: int):
             for (code, rep, known, requested), result in zip(classes, results):
                 for k, outcome in result.items():
                     if isinstance(outcome, Witness):
-                        fault = witness_fault(rep, k, outcome)
-                        if fault is not None:
-                            raise RuntimeError(f"solver witness for k={k} on {code}: {fault}")
                         labels = outcome.labeling.assignment.items()
                         result[k] = Witness(Labeling(outcome.labeling.k, {
                             pairs.setdefault(edge, edge): label for edge, label in labels

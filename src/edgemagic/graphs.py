@@ -187,11 +187,12 @@ def _degree_sorted_bits(g: Graph) -> int:
 
 def emit_graph6(g: Graph) -> str:
     """Canonical graph6 record for g's labeled adjacency (no header, no newline)."""
+    prefix = _encode_n(g.p)  # first, so an order too large fails before any work
     nbits = g.p * (g.p - 1) // 2
     pad = -nbits % 6
     bits = _bits(g.p, g.edges) << pad
     body = bytes(((bits >> shift) & 0x3F) + _G6_MIN for shift in range(nbits + pad - 6, -1, -6))
-    return (_encode_n(g.p) + body).decode("ascii")
+    return (prefix + body).decode("ascii")
 
 
 def parse_graph6(text: str) -> Graph:

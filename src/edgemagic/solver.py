@@ -30,6 +30,8 @@ partial sums, and two vertices waiting on different edges for one residue
 need two of it left.  All three prunings remove only subtrees without
 solutions, and residues are tried in ascending order, so solutions and
 witnesses come out as a plain depth-first search would give them.
+``is_k_em`` and ``classify_detailed`` return a witness only once
+``witness_fault`` accepts it, and raise ``ValueError`` for one that fails.
 ``brute_force_is_k_em`` is an independent oracle with no pruning at all,
 meant for cross-checking in tests.
 """
@@ -40,7 +42,7 @@ import json
 from collections import deque
 from dataclasses import dataclass, field
 
-from .graphs import Graph
+from .graphs import Graph, emit_graph6
 
 # Edge-count cap for the no-pruning oracle (q! permutations in the worst case).
 Q_BRUTE = 8
@@ -294,7 +296,7 @@ def _witness_from_residues(
 
 
 def is_k_em(g: Graph, k: int) -> Witness | None:
-    """Exact k-EM decision: an unverified witness if one exists, else None."""
+    """Exact k-EM decision: a witness that ``witness_fault`` accepts, else None."""
     if k < 0:
         raise ValueError(f"base label k must be nonnegative, got {k}")
     outcome = _decide(g, k, _search_plan(g), {})
@@ -326,10 +328,10 @@ def _decide(g: Graph, k: int, plan: _SearchPlan, searches: dict) -> Witness | st
     The search sees the base only through its residue multiset, so
     ``searches`` keeps each multiset's result (see ``_first_solution``) for
     every k that shares it.  When k's multiset is the negation of the base's,
-    so are its residues and its constant sum.
+    so are its residues and its constant sum.  An edgeless graph needs no
+    special case, as its isolated vertices force c = 0.  The witness is
+    returned only once ``witness_fault`` accepts it.
     """
-    if g.q == 0:
-        return Witness(Labeling(k, {}), 0)  # all vertex sums are empty
     if not counting_filter(g, k):
         return "counting-filter"
     p = g.p
@@ -343,23 +345,17 @@ def _decide(g: Graph, k: int, plan: _SearchPlan, searches: dict) -> Witness | st
     c, residue_map = found
     if label_residues(k, g.q, p) != counts:
         c, residue_map = -c % p, {edge: -r % p for edge, r in residue_map.items()}
-    return _witness_from_residues(g, k, c, residue_map)
+    witness = _witness_from_residues(g, k, c, residue_map)
+    fault = witness_fault(g, k % p, witness)
+    if fault is not None:
+        raise ValueError(f"solver witness for k={k}, c={witness.c} on {emit_graph6(g)}: {fault}")
+    return witness
 
 
 def classify(g: Graph) -> KSpectrum:
-    """Full spectrum: which residues k in [0, p-1] make g k-EM.
-
-    A residue is a member only once ``verify_labeling`` accepts its witness
-    with the c it claims; a witness that fails raises ``ValueError``.
-    """
-    members = []
-    for k, outcome in classify_detailed(g).items():
-        if isinstance(outcome, Witness):
-            fault = witness_fault(g, k, outcome)
-            if fault is not None:
-                raise ValueError(f"solver witness for k={k}, c={outcome.c} fails: {fault}")
-            members.append(k)
-    return KSpectrum(g.p, frozenset(members))
+    """Full spectrum: the residues k in [0, p-1] that ``classify_detailed`` witnesses."""
+    outcomes = classify_detailed(g)
+    return KSpectrum(g.p, frozenset(k for k, o in outcomes.items() if isinstance(o, Witness)))
 
 
 def classify_detailed(g: Graph, ks=None) -> dict[int, Witness | str]:
@@ -375,6 +371,7 @@ def classify_detailed(g: Graph, ks=None) -> dict[int, Witness | str]:
     g is k-EM exactly when it is (1-q-k)-EM, and the partner's witness negates
     every residue and c.  For a maximal outerplanar graph the partners are k
     and 4-k.  So each outcome depends on g and k mod p alone, not on ks.
+    Each witness has passed ``witness_fault`` (see ``_decide``).
     """
     ks = range(g.p) if ks is None else list(ks)
     if ks and min(ks) < 0:

@@ -1,9 +1,11 @@
 import random
+from dataclasses import replace
 
 import networkx as nx
 import pytest
 from hypothesis import strategies as st
 
+import edgemagic.solver as solver_mod
 from edgemagic import Graph, emit_graph6, relabel
 
 
@@ -54,6 +56,23 @@ def record_calls(monkeypatch, module, names):
 
         monkeypatch.setattr(module, name, recording)
     return calls
+
+
+def corrupt_solver_witnesses(monkeypatch, edit="label"):
+    """Make the solver build every witness with one label raised past the
+    interval (``edit="label"``) or its claimed c moved off the vertex sums
+    (``edit="c"``), so that only its own check stands between the fault and
+    a caller."""
+    real = solver_mod._witness_from_residues
+
+    def corrupting(g, k, c, residue_map):
+        w = real(g, k, c, residue_map)
+        if edit == "c":
+            return replace(w, c=(w.c + 1) % g.p)
+        bad = {**w.labeling.assignment, min(w.labeling.assignment): 99}
+        return replace(w, labeling=replace(w.labeling, assignment=bad))
+
+    monkeypatch.setattr(solver_mod, "_witness_from_residues", corrupting)
 
 
 @pytest.fixture

@@ -37,7 +37,13 @@ from edgemagic.census import (
 from edgemagic.generators import SparseSpec, generate_mops, generate_sparse_graphs
 from edgemagic.solver import SOLVER_VERSION
 
-from conftest import degree_sorted_record, random_graph, random_permutation, record_calls
+from conftest import (
+    corrupt_solver_witnesses,
+    degree_sorted_record,
+    random_graph,
+    random_permutation,
+    record_calls,
+)
 
 MOP4_LINES = [emit_graph6(g) for g in generate_mops(4)]
 MOP4_ROW_JSON = (
@@ -396,21 +402,32 @@ class TestStore:
         assert "line 2 unreadable" in caplog.text
 
     def test_solver_witness_that_fails_raises(self, tmp_path, monkeypatch):
-        real = census_mod.classify_detailed
-
-        def corrupting(g, ks=None):
-            outcomes = real(g, ks)
-            w = outcomes[2]
-            edge = min(w.labeling.assignment)
-            bad = {**w.labeling.assignment, edge: 99}
-            outcomes[2] = replace(w, labeling=replace(w.labeling, assignment=bad))
-            return outcomes
-
-        monkeypatch.setattr(census_mod, "classify_detailed", corrupting)
+        corrupt_solver_witnesses(monkeypatch)
         store_path = tmp_path / "store.jsonl"
-        with pytest.raises(RuntimeError, match="solver witness for k=2"):
+        with pytest.raises(ValueError, match="solver witness for k=2"):
             run_census(MOP4_LINES, store=CensusStore(store_path))
         assert not store_path.exists()
+
+    @pytest.mark.parametrize("edit", ["label", "c"])
+    def test_pooled_solver_witness_that_fails_raises(self, tmp_path, monkeypatch, edit):
+        # Threads stand in for worker processes so that they see the fault.
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", ThreadPoolExecutor)
+        corrupt_solver_witnesses(monkeypatch, edit)
+        store_path = tmp_path / "store.jsonl"
+        with pytest.raises(ValueError, match="solver witness for k=2") as raised:
+            run_census(MOP4_LINES, store=CensusStore(store_path), jobs=2)
+        assert f" on {MOP4_LINES[0]}: " in str(raised.value)  # the class code
+        assert not store_path.exists()
+
+    def test_non_utf8_line_is_skipped(self, tmp_path, caplog, monkeypatch):
+        store = CensusStore(tmp_path / "store.jsonl")
+        first = run_census(["C^"], store=store)
+        with store.path.open("ab") as fh:
+            fh.write(b"\xff\xfe garbage\n")
+        calls = record_calls(monkeypatch, census_mod, ["classify_detailed"])
+        assert run_census(["C^"], store=store) == first
+        assert calls["classify_detailed"] == []  # served from the store
+        assert "line 2 unreadable" in caplog.text
 
     def test_parent_error_cancels_queued_classes(self, tmp_path, monkeypatch):
         # Threads stand in for worker processes so the test can count the jobs run.

@@ -1,20 +1,21 @@
 """Command-line surface: outputs and the 0/1/2 exit-status contract."""
 
 import ast
+import concurrent.futures
 import itertools
 import json
 import re
 import shlex
-from dataclasses import replace
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
 
 from edgemagic import emit_graph6, generate_mops, named_family, parse_graph6, verify_labeling
-from edgemagic import cli
 from edgemagic.cli import build_parser, main
-import edgemagic.solver as solver_mod
 from edgemagic.solver import witness_from_dict
+
+from conftest import corrupt_solver_witnesses
 
 K2_RECORD = "A_"
 MOP4_RECORD = emit_graph6(generate_mops(4)[0])
@@ -49,17 +50,7 @@ class TestSolve:
     # the interval, or with its claimed c moved off the vertex sums.
     @pytest.mark.parametrize("edit", ["label", "c"])
     def test_unverified_witness_not_printed(self, capsys, monkeypatch, edit):
-        real = cli.is_k_em
-
-        def corrupting(g, k):
-            w = real(g, k)
-            if edit == "c":
-                return replace(w, c=(w.c + 1) % g.p)
-            edge = min(w.labeling.assignment)
-            bad = {**w.labeling.assignment, edge: 99}
-            return replace(w, labeling=replace(w.labeling, assignment=bad))
-
-        monkeypatch.setattr(cli, "is_k_em", corrupting)
+        corrupt_solver_witnesses(monkeypatch, edit)
         assert main(["solve", MOP4_RECORD, "--k", "2"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -88,18 +79,26 @@ class TestClassify:
         assert main(["classify"]) == 0
         assert capsys.readouterr().out == f"{K2_RECORD}\t0;1\n"
 
+    def test_non_utf8_byte_is_a_bad_record(self, tmp_path, capsys):
+        source = tmp_path / "graphs.g6"
+        source.write_bytes(b"C^\n\xff\nA_\n")
+        assert main(["classify", str(source)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == f"C^\t2\n{K2_RECORD}\t0;1\n"
+        assert captured.err.startswith("line 2: ")
+
+    def test_stdin_read_as_utf8_in_any_locale(self, capsys, monkeypatch):
+        import io
+        stdin = io.TextIOWrapper(io.BytesIO(b"C^\n\xff\nA_\n"), encoding="latin-1")
+        monkeypatch.setattr("sys.stdin", stdin)
+        assert main(["classify"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == f"C^\t2\n{K2_RECORD}\t0;1\n"
+        assert captured.err == "line 2: character '\\udcff' out of graph6 range 63..126\n"
+
     def test_unverified_member_not_printed(self, tmp_path, capsys, monkeypatch):
         # The order-4 MOP's k = 2 witness with one label raised past the interval.
-        real = solver_mod.classify_detailed
-
-        def corrupting(g, ks=None):
-            outcomes = real(g, ks)
-            w = outcomes[2]
-            bad = {**w.labeling.assignment, min(w.labeling.assignment): 99}
-            outcomes[2] = replace(w, labeling=replace(w.labeling, assignment=bad))
-            return outcomes
-
-        monkeypatch.setattr(solver_mod, "classify_detailed", corrupting)
+        corrupt_solver_witnesses(monkeypatch)
         source = tmp_path / "graphs.g6"
         source.write_text(f"{MOP4_RECORD}\n")
         assert main(["classify", str(source)]) == 2
@@ -199,6 +198,34 @@ class TestCensus:
 
     def test_missing_source_file(self, capsys):
         assert main(["census", "/nonexistent/path.g6"]) == 2
+
+    def test_non_utf8_byte_is_a_bad_record(self, tmp_path, capsys):
+        source = tmp_path / "graphs.g6"
+        source.write_bytes(b"C^\n\xff\nA_\n")
+        assert main(["census", str(source)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == "graph6,p,q,spectrum\nA_,2,1,0;1\nC},4,5,2\n"
+        assert captured.err.startswith("line 2: ")
+
+    def solver_fault(self, tmp_path, capsys, monkeypatch, jobs):
+        corrupt_solver_witnesses(monkeypatch)
+        source = tmp_path / "graphs.g6"
+        source.write_text(f"{MOP4_RECORD}\n")
+        store = tmp_path / "store.jsonl"
+        args = ["census", str(source), "--store", str(store), "--jobs", str(jobs)]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: solver witness for k=2, c=1 on {MOP4_RECORD}: ")
+        assert not store.exists()
+
+    def test_solver_fault_exits_2(self, tmp_path, capsys, monkeypatch):
+        self.solver_fault(tmp_path, capsys, monkeypatch, jobs=1)
+
+    def test_pooled_solver_fault_exits_2(self, tmp_path, capsys, monkeypatch):
+        # Threads stand in for worker processes so that they see the fault.
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", ThreadPoolExecutor)
+        self.solver_fault(tmp_path, capsys, monkeypatch, jobs=2)
 
     def test_unwritable_destination(self, tmp_path, capsys):
         source = tmp_path / "graphs.g6"
@@ -419,3 +446,19 @@ class TestPublicSurface:
                         sites[name].add((path.stem, getattr(top, "name", None)))
         assert sites["_canonical_bits"] == {("graphs", "canonical_graph")}
         assert {module for module, _ in sites["canonical_form"]} <= {"graphs", "__init__"}
+
+    def test_one_check_per_witness(self):
+        # The solver checks each witness it builds, and the census each witness
+        # it reads from its store; no other code checks one, so none is checked
+        # twice.  Imports and re-exports are not checks.
+        package = Path(__file__).resolve().parents[1] / "src" / "edgemagic"
+        sites = {"witness_fault": set(), "verify_labeling": set()}
+        for path in package.glob("*.py"):
+            for top in ast.parse(path.read_text()).body:
+                for node in ast.walk(top):
+                    name = (node.id if isinstance(node, ast.Name) else
+                            node.attr if isinstance(node, ast.Attribute) else None)
+                    if name in sites:
+                        sites[name].add((path.stem, getattr(top, "name", None)))
+        assert sites["witness_fault"] == {("solver", "_decide"), ("census", "_stored_outcomes")}
+        assert sites["verify_labeling"] == {("solver", "witness_fault")}

@@ -19,6 +19,7 @@ from edgemagic import (
     parse_graph6,
     relabel,
 )
+import edgemagic.graphs as graphs_mod
 from edgemagic.graphs import is_connected
 
 from conftest import graph_strategy as graphs
@@ -167,6 +168,20 @@ class TestGraph6:
     def test_eight_byte_prefix_rejected(self):
         with pytest.raises(Graph6Error, match="not supported"):
             parse_graph6("~~" + "?" * 8)
+
+    @pytest.mark.parametrize("record, message", [
+        ("~?", "truncated length prefix"),
+        ("~??B", "non-canonical long prefix for n=3"),
+    ], ids=["truncated", "non-canonical"])
+    def test_bad_long_prefix_rejected(self, record, message):
+        with pytest.raises(Graph6Error, match=message):
+            parse_graph6(record)
+
+    def test_order_too_large_fails_before_the_body(self, monkeypatch):
+        # The body of this edgeless graph would be about 5.5e9 six-bit groups.
+        monkeypatch.setattr(graphs_mod, "_bits", lambda p, edges: pytest.fail("body built"))
+        with pytest.raises(Graph6Error, match="vertex count 258048 too large"):
+            emit_graph6(Graph(258048))
 
 
 class TestDegreeSequence:

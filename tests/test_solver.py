@@ -5,7 +5,6 @@ import itertools
 import json
 import random
 import sys
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -33,7 +32,7 @@ import edgemagic.solver as solver_mod
 from edgemagic.generators import generate_by_edge_count, generate_mops, named_family
 from edgemagic.solver import Q_BRUTE, witness_from_dict, witness_to_dict
 
-from conftest import graph_strategy, random_graph, record_calls
+from conftest import corrupt_solver_witnesses, graph_strategy, random_graph, record_calls
 
 MOP4 = Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])
 K2 = Graph(2, [(0, 1)])
@@ -188,21 +187,19 @@ class TestClassify:
     # the interval, or with its claimed c moved off the vertex sums.
     @pytest.mark.parametrize("edit", ["label", "c"])
     def test_unverified_witness_raises(self, monkeypatch, edit):
-        real = solver_mod.classify_detailed
-
-        def corrupting(g, ks=None):
-            outcomes = real(g, ks)
-            w = outcomes[2]
-            if edit == "c":
-                outcomes[2] = replace(w, c=(w.c + 1) % g.p)
-            else:
-                bad = {**w.labeling.assignment, min(w.labeling.assignment): 99}
-                outcomes[2] = replace(w, labeling=replace(w.labeling, assignment=bad))
-            return outcomes
-
-        monkeypatch.setattr(solver_mod, "classify_detailed", corrupting)
+        corrupt_solver_witnesses(monkeypatch, edit)
         with pytest.raises(ValueError, match="solver witness for k=2"):
             classify(MOP4)
+
+    def test_every_witness_checked_once(self, monkeypatch):
+        # The edgeless graph's empty labelling is checked like any other.
+        calls = record_calls(monkeypatch, solver_mod, ["witness_fault"])["witness_fault"]
+        for g in (MOP4, K2, Graph(3)):
+            outcomes = classify_detailed(g)
+            witnesses = [w for w in outcomes.values() if isinstance(w, Witness)]
+            assert calls == [g] * len(witnesses)
+            calls.clear()
+        assert is_k_em(Graph(3), 7) is not None and calls == [Graph(3)]
 
     def test_k2(self):
         assert sorted(classify(K2).members) == [0, 1]
