@@ -20,7 +20,6 @@ from .solver import (
     classify,
     classify_detailed,
     counting_filter,
-    enumerate_labelings,
     is_k_em,
     label_residues,
     verify_labeling,

@@ -18,10 +18,13 @@ solver fault that stops the run with ``ValueError``.  A stored residue
 is reused only with a witness that verifies or the exclusion reason the
 counting filter implies for it ("counting-filter" where the filter rejects k,
 else "search-exhausted"); any other is decided again and the corrected row
-appended.  A run makes one canonical search per distinct degree-sorted
-relabelling of its records: a record that repeats one read earlier is parsed
-and then skipped, and a record whose stable relabelling by nonincreasing
-degree matches an earlier record's is isomorphic to it, so it is skipped too.
+appended.  A stored "search-exhausted" is trusted without a new search: a
+store line that wrongly rules a residue out hides it from the spectrum, so a
+store must come from this program.  A run makes one canonical search per
+distinct degree-sorted relabelling of its records: a record that repeats one
+read earlier is parsed and then skipped, and a record whose stable
+relabelling by nonincreasing degree matches an earlier record's is
+isomorphic to it, so it is skipped too.
 One search per new key gives both the code and the representative: the
 canonical graph, whose graph6 record is the class's code.
 """
@@ -193,7 +196,9 @@ def _stored_outcomes(row: CensusRow, g: Graph) -> dict[int, Witness | str]:
 
     A residue survives with a witness that verifies on g, or with the reason
     the solver gives when the counting filter rejects k or admits it; any
-    other is left out, so that it is decided again.
+    other is left out, so that it is decided again.  Only a witness and a
+    filter rejection are checked: a "search-exhausted" where the filter
+    admits k is served as stored, with no search to confirm it.
     """
     outcomes: dict[int, Witness | str] = {}
     for k in range(g.p):

@@ -28,8 +28,9 @@ supply no longer holds, and a pairwise check (after Mackworth, 1977) when two
 such vertices cannot both finish: the two ends of one last edge need equal
 partial sums, and two vertices waiting on different edges for one residue
 need two of it left.  All three prunings remove only subtrees without
-solutions, and residues are tried in ascending order, so solutions and
-witnesses come out as a plain depth-first search would give them.
+solutions, and residues are tried in ascending order, so each search stops
+at the solution, and so the witness, that a plain depth-first search would
+find first.
 ``is_k_em`` and ``classify_detailed`` return a witness only once
 ``witness_fault`` accepts it, and raise ``ValueError`` for one that fails.
 ``brute_force_is_k_em`` is an independent oracle with no pruning at all,
@@ -213,15 +214,14 @@ def _search_plan(g: Graph) -> _SearchPlan:
 
 
 def _magic_residue_solutions(
-    plan: _SearchPlan, k: int, c: int, limit: int | None
-) -> list[dict[tuple[int, int], int]]:
-    """All residue assignments (edge -> residue) with every vertex sum = c mod p.
+    plan: _SearchPlan, k: int, c: int
+) -> dict[tuple[int, int], int] | None:
+    """The first residue assignment (edge -> residue) with every vertex sum = c mod p.
 
-    Exhaustive up to permutations within a residue class, which cannot change
-    any vertex sum.  Depth-first over edges in completion order, residues
-    ascending; stops after `limit` solutions when given.  Three prunings cut
-    only subtrees that hold no solution, so solutions come out in the same
-    order as a plain ascending search:
+    Depth-first over edges in completion order, residues ascending; None when
+    no assignment exists.  Three prunings cut only subtrees that hold no
+    solution, so the result is the one a plain ascending search finds first,
+    the least residue tuple over ``plan.order``:
 
     - forced residue: an edge that completes a vertex w can only carry
       (c - partial[w]) mod p, so that residue alone is tried;
@@ -239,17 +239,15 @@ def _magic_residue_solutions(
     p = plan.p
     order, steps = plan.order, plan.steps
     if plan.has_isolated and c != 0:
-        return []  # an isolated vertex has an empty sum, forcing c = 0
+        return None  # an isolated vertex has an empty sum, forcing c = 0
     q = len(order)
     counts = list(label_residues(k, q, p))
     partial = [0] * p
     chosen = [0] * q
-    solutions: list[dict[tuple[int, int], int]] = []
 
     def extend(i: int) -> bool:
         if i == q:
-            solutions.append(dict(zip(order, chosen)))
-            return limit is not None and len(solutions) >= limit
+            return True
         u, v, forced, waiting, ties = steps[i]
         for r in range(p) if forced is None else ((c - partial[forced]) % p,):
             if counts[r] == 0:
@@ -278,8 +276,7 @@ def _magic_residue_solutions(
             partial[v] -= r
         return False
 
-    extend(0)
-    return solutions
+    return dict(zip(order, chosen)) if extend(0) else None
 
 
 def _witness_from_residues(
@@ -304,19 +301,20 @@ def is_k_em(g: Graph, k: int) -> Witness | None:
 
 
 def _first_solution(plan: _SearchPlan, k: int) -> tuple[int, dict[tuple[int, int], int]] | None:
-    """The first (c, residue map) the search finds at base label k, or None.
+    """The least solvable c at base label k and its first residue map, or None.
 
-    When k's residue multiset is its own negation, negating a solution at c
-    gives one at -c, so the least solvable c is at most p/2 and no larger c
-    is searched.
+    Sums c are searched in ascending order, one search each (see
+    ``_magic_residue_solutions``), until one finds a solution.  When k's
+    residue multiset is its own negation, negating a solution at c gives one
+    at -c, so the least solvable c is at most p/2 and no larger c is searched.
     """
     p = plan.p
     counts = label_residues(k, len(plan.order), p)
     symmetric = all(counts[r] == counts[-r % p] for r in range(p))
     for c in range(p // 2 + 1 if symmetric else p):
-        found = _magic_residue_solutions(plan, k, c, limit=1)
-        if found:
-            return c, found[0]
+        found = _magic_residue_solutions(plan, k, c)
+        if found is not None:
+            return c, found
     return None
 
 
@@ -379,31 +377,6 @@ def classify_detailed(g: Graph, ks=None) -> dict[int, Witness | str]:
     plan = _search_plan(g)
     searches: dict = {}
     return {k: _decide(g, k, plan, searches) for k in sorted({k % g.p for k in ks})}
-
-
-def enumerate_labelings(g: Graph, k: int, limit: int | None = None) -> list[Witness]:
-    """All residue-distinct magic labelings for this k, deterministically ordered.
-
-    Two labelings count as one when they differ only by permuting equal
-    residues within a class.  Output is sorted lexicographically by the
-    residue tuple over g.edges.
-    """
-    if k < 0:
-        raise ValueError(f"base label k must be nonnegative, got {k}")
-    if g.q == 0:
-        return [Witness(Labeling(k, {}), 0)]
-    if not counting_filter(g, k):
-        return []
-    plan = _search_plan(g)
-    solutions = []
-    for c in range(g.p):
-        for residue_map in _magic_residue_solutions(plan, k % g.p, c, limit=None):
-            key = tuple(residue_map[e] for e in g.edges)
-            solutions.append((key, c, residue_map))
-    solutions.sort(key=lambda item: item[0])
-    if limit is not None:
-        solutions = solutions[:limit]
-    return [_witness_from_residues(g, k, c, rm) for _, c, rm in solutions]
 
 
 def brute_force_is_k_em(g: Graph, k: int, q_cap: int = Q_BRUTE) -> Witness | None:

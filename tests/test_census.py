@@ -227,6 +227,21 @@ class TestStore:
         warm = run_census(MOP4_LINES, store=CensusStore(store_path))
         assert warm == cold
 
+    def test_stored_search_exhausted_served_without_search(self, tmp_path, monkeypatch):
+        # The filter admits k = 0 on the order-4 MOP and no labelling exists,
+        # so this hand-written row is genuine; a false one would be served
+        # the same way, as nothing searches a stored "search-exhausted" again.
+        assert counting_filter(parse_graph6("C}"), 0)
+        store_path = tmp_path / "store.jsonl"
+        stored = {**json.loads(MOP4_ROW_JSON), "spectrum": [], "ks": [0], "witnesses": {},
+                  "ruled_out": {"0": "search-exhausted"}, "solver_version": SOLVER_VERSION}
+        store_path.write_text(json.dumps(stored) + "\n")
+        calls = record_calls(monkeypatch, census_mod, ["_classify_job"])["_classify_job"]
+        rows = run_census(MOP4_LINES, ks=[0], store=CensusStore(store_path))
+        assert rows == [CensusRow("C}", 4, 5, ruled_out={0: "search-exhausted"})]
+        assert calls == []
+        assert len(store_path.read_text().splitlines()) == 1
+
     def test_fixed_k_then_full_computes_only_missing(self, tmp_path, monkeypatch):
         store_path = tmp_path / "store.jsonl"
         run_census(MOP4_LINES, ks=[2], store=CensusStore(store_path))

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from edgemagic import emit_graph6, generate_mops, named_family, parse_graph6, verify_labeling
+import edgemagic.census as census_mod
 from edgemagic.cli import build_parser, main
 from edgemagic.solver import witness_from_dict
 
@@ -307,6 +308,21 @@ class TestConjecture:
         assert main(["conjecture", "7", "--jobs", "0"]) == 2
         assert "jobs must be >= 1" in capsys.readouterr().err
 
+    def test_counterexample_fails(self, capsys, monkeypatch):
+        # One order-7 class made to lose k = 2 is printed with its spectrum.
+        target = emit_graph6(generate_mops(7)[2])
+        real = census_mod.classify_detailed
+
+        def dropping_two(g, ks=None):
+            outcomes = real(g, ks)
+            if emit_graph6(g) == target:
+                outcomes[2] = "search-exhausted"
+            return outcomes
+
+        monkeypatch.setattr(census_mod, "classify_detailed", dropping_two)
+        assert main(["conjecture", "7"]) == 1
+        assert capsys.readouterr().out == "FAILS: 1 of 4 graphs deviate\n  FzhSO\t-\n"
+
     def test_cap_lifted_to_order(self, capsys, monkeypatch):
         monkeypatch.setenv("EDGEMAGIC_P_MAX", "5")
         assert main(["conjecture", "7"]) == 0
@@ -405,7 +421,6 @@ class TestPublicSurface:
     # Public functions that only tests call, each kept as a reference.
     TEST_REFERENCES = {
         "relabel": "the tests build isomorphic copies of a graph with it",
-        "enumerate_labelings": "the solver tests pin every solution of the search through it",
     }
 
     def test_every_public_function_has_a_caller(self):
@@ -447,18 +462,36 @@ class TestPublicSurface:
         assert sites["_canonical_bits"] == {("graphs", "canonical_graph")}
         assert {module for module, _ in sites["canonical_form"]} <= {"graphs", "__init__"}
 
-    def test_one_check_per_witness(self):
-        # The solver checks each witness it builds, and the census each witness
-        # it reads from its store; no other code checks one, so none is checked
-        # twice.  Imports and re-exports are not checks.
+    @staticmethod
+    def package_uses(*names):
+        """{name: {(module, top-level def) of each use of the name in the
+        package}} and {top-level def name: its ast node}.  Imports and
+        re-exports are not uses."""
         package = Path(__file__).resolve().parents[1] / "src" / "edgemagic"
-        sites = {"witness_fault": set(), "verify_labeling": set()}
+        sites = {name: set() for name in names}
+        defs = {}
         for path in package.glob("*.py"):
             for top in ast.parse(path.read_text()).body:
+                defs[getattr(top, "name", None)] = top
                 for node in ast.walk(top):
                     name = (node.id if isinstance(node, ast.Name) else
                             node.attr if isinstance(node, ast.Attribute) else None)
                     if name in sites:
                         sites[name].add((path.stem, getattr(top, "name", None)))
+        return sites, defs
+
+    def test_one_check_per_witness(self):
+        # The solver checks each witness it builds, and the census each witness
+        # it reads from its store; no other code checks one, so none is checked
+        # twice.
+        sites, _ = self.package_uses("witness_fault", "verify_labeling")
         assert sites["witness_fault"] == {("solver", "_decide"), ("census", "_stored_outcomes")}
         assert sites["verify_labeling"] == {("solver", "witness_fault")}
+
+    def test_one_search_mode(self):
+        # The engine needs one solution per (k, c) search, so the search has
+        # no all-solutions mode and one caller; the tests' oracles enumerate.
+        sites, defs = self.package_uses("_magic_residue_solutions")
+        assert sites["_magic_residue_solutions"] == {("solver", "_first_solution")}
+        search = defs["_magic_residue_solutions"].args
+        assert "limit" not in [a.arg for a in (*search.args, *search.kwonlyargs)]

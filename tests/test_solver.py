@@ -5,6 +5,7 @@ import itertools
 import json
 import random
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +21,6 @@ from edgemagic import (
     classify_detailed,
     counting_filter,
     emit_graph6,
-    enumerate_labelings,
     is_k_em,
     label_residues,
     parse_graph6,
@@ -33,44 +33,11 @@ from edgemagic.generators import generate_by_edge_count, generate_mops, named_fa
 from edgemagic.solver import Q_BRUTE, witness_from_dict, witness_to_dict
 
 from conftest import corrupt_solver_witnesses, graph_strategy, random_graph, record_calls
+from oracles import eager_brute_force_is_k_em, enumerate_labelings, magic_permutations
 
+DATA = Path(__file__).parent / "data"
 MOP4 = Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])
 K2 = Graph(2, [(0, 1)])
-
-
-def oracle_residue_solutions(g, k):
-    """Magic residue tuples over g.edges by raw permutation, sorted; no search machinery."""
-    counts = label_residues(k, g.q, g.p)
-    residues = [r for r in range(g.p) for _ in range(counts[r])]
-    valid = []
-    for perm in set(itertools.permutations(residues)):
-        sums = [0] * g.p
-        for (u, v), r in zip(g.edges, perm):
-            sums[u] += r
-            sums[v] += r
-        if len({s % g.p for s in sums}) == 1:
-            valid.append(perm)
-    return sorted(valid)
-
-
-def oracle_residue_solution_count(g, k):
-    return len(oracle_residue_solutions(g, k))
-
-
-def eager_brute_force_is_k_em(g, k):
-    """The permutation oracle as first written, kept as its reference: every
-    distinct permutation is built and sorted before the first is tried."""
-    counts = label_residues(k, g.q, g.p)
-    residues = [r for r in range(g.p) for _ in range(counts[r])]
-    for perm in sorted(set(itertools.permutations(residues))):
-        sums = [0] * g.p
-        for (u, v), r in zip(g.edges, perm):
-            sums[u] += r
-            sums[v] += r
-        c = sums[0] % g.p
-        if all(s % g.p == c for s in sums):
-            return solver_mod._witness_from_residues(g, k, c, dict(zip(g.edges, perm)))
-    return None
 
 
 def count_search_nodes(fn):
@@ -121,6 +88,22 @@ class TestCountingFilter:
     def test_order5_mop(self):
         mop5 = generate_mops(5)[0]
         assert [k for k in range(5) if counting_filter(mop5, k)] == [2]
+
+    def test_mop_orders_admitted_at_three_and_four(self):
+        # Paper claim (ii).  A MOP of order p has q = 2p - 3 edges, so the
+        # filter reads 6k = 12 (mod p): k = 3 needs p | 6 and k = 4 needs
+        # p | 12.  The fan of order p is a MOP.  The triangle is never k-EM
+        # and the order-4 MOP is not 0-EM (TestIsKEm), and the frozen census
+        # lists all three order-6 classes at k = 3 and k = 4.  So the 3-EM
+        # MOPs are the order-6 MOPs, and so are the 4-EM MOPs of order other
+        # than 12.
+        admitted = {k: [p for p in range(3, 201) if counting_filter(named_family("fan", p), k)]
+                    for k in (3, 4)}
+        assert admitted == {3: [3, 6], 4: [3, 4, 6, 12]}
+        for k in (3, 4):
+            rows = (DATA / f"mop_census_k{k}_orders_4_to_9.csv").read_text().splitlines()
+            order6 = [row.split(",")[3] for row in rows if row.split(",")[1] == "6"]
+            assert order6 == [str(k)] * 3
 
     def test_edgeless_always_passes(self):
         g = Graph(3)
@@ -322,6 +305,27 @@ class TestSearchNodes:
         assert nodes <= pairwise
 
 
+class TestFirstSolution:
+    @pytest.mark.parametrize("p, q_max", [(1, 0), (2, 1), (3, 3), (4, 6), (5, 7), (6, 6)])
+    def test_search_finds_least_oracle_solution(self, p, q_max):
+        # Every isomorphism class of order p with q <= q_max edges, every k
+        # and c: the search returns the oracle's solution at c whose residue
+        # tuple over the search's edge order is least, or None where the
+        # oracle has none, so pruning loses no solution and keeps the order.
+        for q in range(q_max + 1):
+            for g in generate_by_edge_count(p, q):
+                plan = solver_mod._search_plan(g)
+                for k in range(p):
+                    by_c = {}
+                    for perm, c in magic_permutations(g, k):
+                        by_c.setdefault(c, []).append(dict(zip(g.edges, perm)))
+                    for c in range(p):
+                        least = min(by_c.get(c, ()), default=None,
+                                    key=lambda rm: [rm[e] for e in plan.order])
+                        found = solver_mod._magic_residue_solutions(plan, k, c)
+                        assert found == least, (g, k, c)
+
+
 class TestShiftInvariance:
     @given(graph_strategy(max_p=5, min_p=2), st.integers(0, 12))
     @settings(max_examples=60, deadline=None)
@@ -407,7 +411,6 @@ class TestEnumerate:
 
     def test_order4_mop_count_matches_oracle(self):
         witnesses = enumerate_labelings(MOP4, 2)
-        assert len(witnesses) == oracle_residue_solution_count(MOP4, 2)
         assert len(witnesses) == 8  # frozen from the oracle run
         assert sorted({w.c for w in witnesses}) == [1, 3]
         for w in witnesses:
@@ -426,30 +429,6 @@ class TestEnumerate:
         witnesses = enumerate_labelings(Graph(3), 5)
         assert len(witnesses) == 1
         assert witnesses[0].c == 0 and witnesses[0].labeling.assignment == {}
-
-    def test_counts_match_oracle_on_random_graphs(self, rng):
-        checked = 0
-        while checked < 25:
-            g = random_graph(rng, p_min=2, p_max=4)
-            if g.q == 0 or g.q > 6:
-                continue
-            checked += 1
-            k = rng.randint(0, g.p)
-            assert len(enumerate_labelings(g, k)) == oracle_residue_solution_count(g, k)
-
-    @pytest.mark.parametrize("p, q_max", [(1, 0), (2, 1), (3, 3), (4, 6), (5, 7), (6, 6)])
-    def test_residue_lists_match_oracle_on_every_class(self, p, q_max):
-        # Every isomorphism class of order p with q <= q_max edges, every k:
-        # the enumerated residue tuples, in output order, equal the sorted
-        # oracle list, so pruning loses no solution and keeps the order.
-        for q in range(q_max + 1):
-            for g in generate_by_edge_count(p, q):
-                for k in range(p):
-                    found = [
-                        tuple(w.labeling.assignment[e] % p for e in g.edges)
-                        for w in enumerate_labelings(g, k)
-                    ]
-                    assert found == oracle_residue_solutions(g, k), (g, k)
 
 
 class TestBruteForce:
@@ -555,9 +534,10 @@ class TestGoldenPin:
                     h.update((witness_to_json(w, p) if w else "null").encode() + b"\n")
         assert h.hexdigest() == self.WITNESS_DIGEST
 
-    # SHA-256 over every enumerate_labelings list of 40 seeded random graphs
-    # with q <= 8.  Each list is sorted by residue tuple, so no change to the
-    # search order may move these bytes.
+    # SHA-256 over every oracle enumerate_labelings list of 40 seeded random
+    # graphs with q <= 8: all magic labelings, sorted by residue tuple.  The
+    # oracle's walk shares no code with the search, and these bytes pin the
+    # walk that TestFirstSolution compares the search with.
     ENUMERATION_DIGEST = "24bfd7eedc895135b08579765853cc8ad7d4773f61665bfd76b17d470b568651"
 
     def test_enumerations_unchanged(self):
