@@ -14,13 +14,10 @@ outcome once, as a witness or a reason; the graph6, spectrum and ks derived
 from them are written for readers and ignored on load.
 Every witness passes ``verify_labeling`` before its row is stored or served:
 the solver checks each fresh one as it builds it, and one that fails is a
-solver fault that stops the run with ``ValueError``.  A stored residue
-is reused only with a witness that verifies or the exclusion reason the
-counting filter implies for it ("counting-filter" where the filter rejects k,
-else "search-exhausted"); any other is decided again and the corrected row
-appended.  A stored "search-exhausted" is trusted without a new search: a
-store line that wrongly rules a residue out hides it from the spectrum, so a
-store must come from this program.  A run makes one canonical search per
+solver fault that stops the run with ``ValueError``.  A stored residue is
+reused only if ``solver.outcome_fault`` accepts it, and else decided again
+and the corrected row appended.  That rule trusts a stored exhausted search,
+so a store must come from this program.  A run makes one canonical search per
 distinct degree-sorted relabelling of its records: a record that repeats one
 read earlier is parsed and then skipped, and a record whose stable
 relabelling by nonincreasing degree matches an earlier record's is
@@ -55,7 +52,7 @@ from .solver import (
     Witness,
     classify_detailed,
     counting_filter,
-    witness_fault,
+    outcome_fault,
     witness_from_dict,
     witness_to_dict,
 )
@@ -74,10 +71,9 @@ class CensusRow:
     of one dict: ``witnesses`` for members, ``ruled_out`` for non-members,
     saying whether the counting filter excluded it or the search was
     exhausted.  ``graph6``, ``spectrum`` and ``ks`` derive from these and
-    ``code``, so a row cannot disagree with itself.  A stored residue is not
-    reused unless its witness passes ``verify_labeling`` or its reason is the
-    one the counting filter implies.  Rows for graphs beyond the configured
-    caps carry status "skipped" and no spectrum.
+    ``code``, so a row cannot disagree with itself.  A stored residue is
+    reused only if ``solver.outcome_fault`` accepts it.  Rows for graphs
+    beyond the configured caps carry status "skipped" and no spectrum.
     """
 
     code: str
@@ -192,28 +188,21 @@ def _classify_job(args: tuple[Graph, tuple[int, ...]]):
 
 
 def _stored_outcomes(row: CensusRow, g: Graph) -> dict[int, Witness | str]:
-    """Read a stored row as {k: witness or reason}, keeping only what it proves.
+    """Read a stored row as {k: witness or reason}, keeping what it settles.
 
-    A residue survives with a witness that verifies on g, or with the reason
-    the solver gives when the counting filter rejects k or admits it; any
-    other is left out, so that it is decided again.  Only a witness and a
-    filter rejection are checked: a "search-exhausted" where the filter
-    admits k is served as stored, with no search to confirm it.
+    Each residue 0..p-1 is judged by its witness, if it has one, else by its
+    reason, and kept only if ``outcome_fault`` (the rule) accepts that;
+    any other is left out, so that it is decided again.
     """
+    stored = {**row.ruled_out, **row.witnesses}
     outcomes: dict[int, Witness | str] = {}
     for k in range(g.p):
-        if k in row.witnesses:
-            fault = witness_fault(g, k, row.witnesses[k])
+        if k in stored:
+            fault = outcome_fault(g, k, stored[k])
             if fault is None:
-                outcomes[k] = row.witnesses[k]
+                outcomes[k] = stored[k]
             else:
-                logger.warning("stored witness for k=%d on %s rejected: %s", k, row.code, fault)
-        elif k in row.ruled_out:
-            reason = row.ruled_out[k]
-            if reason == ("search-exhausted" if counting_filter(g, k) else "counting-filter"):
-                outcomes[k] = reason
-            else:
-                logger.warning("stored reason for k=%d on %s rejected: %r", k, row.code, reason)
+                logger.warning("stored outcome for k=%d on %s rejected: %s", k, row.code, fault)
     return outcomes
 
 
@@ -276,9 +265,11 @@ def run_census(
     ``source`` is any iterable of graph6 lines (blank lines skipped).  Every
     residue 0..p-1 is decided when ``ks`` is None, else only the residues of
     ``ks`` (reduced mod each graph's p).  Unreadable records
-    are reported with their line number and processing continues; graphs over
-    the cap become status-"skipped" rows.  Edgeless graphs, which are k-EM
-    for every k with c = 0, are excluded unless ``include_empty`` is set.
+    are reported with their line number and processing continues.  A graph
+    over the cap is not canonicalized: its status-"skipped" row is keyed by
+    its own graph6 record, so isomorphic ones get a row each.  Edgeless
+    graphs, which are k-EM for every k with c = 0, are excluded unless
+    ``include_empty`` is set.
     A record of a labelled graph read earlier in the run is parsed and then
     skipped.  A record is canonicalized only when its relabelling by
     nonincreasing degree (ties in vertex order) differs from every earlier

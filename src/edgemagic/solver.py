@@ -32,7 +32,8 @@ solutions, and residues are tried in ascending order, so each search stops
 at the solution, and so the witness, that a plain depth-first search would
 find first.
 ``is_k_em`` and ``classify_detailed`` return a witness only once
-``witness_fault`` accepts it, and raise ``ValueError`` for one that fails.
+``outcome_fault``, which the census also applies to its stored rows, accepts
+it, and raise ``ValueError`` for one that fails.
 ``brute_force_is_k_em`` is an independent oracle with no pruning at all,
 meant for cross-checking in tests.
 """
@@ -293,7 +294,7 @@ def _witness_from_residues(
 
 
 def is_k_em(g: Graph, k: int) -> Witness | None:
-    """Exact k-EM decision: a witness that ``witness_fault`` accepts, else None."""
+    """Exact k-EM decision: a witness that ``outcome_fault`` accepts, else None."""
     if k < 0:
         raise ValueError(f"base label k must be nonnegative, got {k}")
     outcome = _decide(g, k, _search_plan(g), {})
@@ -328,7 +329,7 @@ def _decide(g: Graph, k: int, plan: _SearchPlan, searches: dict) -> Witness | st
     every k that shares it.  When k's multiset is the negation of the base's,
     so are its residues and its constant sum.  An edgeless graph needs no
     special case, as its isolated vertices force c = 0.  The witness is
-    returned only once ``witness_fault`` accepts it.
+    returned only once ``outcome_fault`` accepts it.
     """
     if not counting_filter(g, k):
         return "counting-filter"
@@ -344,7 +345,7 @@ def _decide(g: Graph, k: int, plan: _SearchPlan, searches: dict) -> Witness | st
     if label_residues(k, g.q, p) != counts:
         c, residue_map = -c % p, {edge: -r % p for edge, r in residue_map.items()}
     witness = _witness_from_residues(g, k, c, residue_map)
-    fault = witness_fault(g, k % p, witness)
+    fault = outcome_fault(g, k % p, witness)
     if fault is not None:
         raise ValueError(f"solver witness for k={k}, c={witness.c} on {emit_graph6(g)}: {fault}")
     return witness
@@ -369,7 +370,7 @@ def classify_detailed(g: Graph, ks=None) -> dict[int, Witness | str]:
     g is k-EM exactly when it is (1-q-k)-EM, and the partner's witness negates
     every residue and c.  For a maximal outerplanar graph the partners are k
     and 4-k.  So each outcome depends on g and k mod p alone, not on ks.
-    Each witness has passed ``witness_fault`` (see ``_decide``).
+    Each witness has passed ``outcome_fault`` (see ``_decide``).
     """
     ks = range(g.p) if ks is None else list(ks)
     if ks and min(ks) < 0:
@@ -474,24 +475,31 @@ def verify_labeling(g: Graph, labeling: Labeling) -> VerifyResult:
     return VerifyResult(True, c, [])
 
 
-def witness_fault(g: Graph, k: int, witness: Witness) -> str | None:
-    """Why ``witness`` fails to prove that g is k-EM, or None when it proves it.
+def outcome_fault(g: Graph, k: int, outcome: Witness | str) -> str | None:
+    """Why ``outcome`` does not settle residue k (0..p-1) of g, or None.
 
-    The proof is ``verify_labeling`` accepting the labeling, for base label
-    k mod p, with the vertex sums the witness claims as c.
+    The one rule for accepting a decided residue, fresh or stored.  A witness
+    settles k when ``verify_labeling`` accepts its labeling, for base label
+    k mod p, with the vertex sums it claims as c.  A reason settles k only if
+    ``_decide`` gives it without a search: "counting-filter" where the
+    counting filter rejects k, else "search-exhausted", which is trusted with
+    no search, so a false one hides a member.  Any other value is a fault.
     """
-    if type(witness.c) is not int:
-        return f"witness claims c={witness.c!r}, not an integer"
-    if witness.labeling.k % g.p != k:
-        return f"witness is for k={witness.labeling.k}"
+    if not isinstance(outcome, Witness):
+        implied = "search-exhausted" if counting_filter(g, k) else "counting-filter"
+        return None if outcome == implied else f"reason {outcome!r}, expected {implied!r}"
+    if type(outcome.c) is not int:
+        return f"witness claims c={outcome.c!r}, not an integer"
+    if outcome.labeling.k % g.p != k:
+        return f"witness is for k={outcome.labeling.k}"
     try:
-        result = verify_labeling(g, witness.labeling)
+        result = verify_labeling(g, outcome.labeling)
     except ValueError as exc:  # a stored witness may label an edge g lacks
         return str(exc)
     if not result.valid:
         return "; ".join(result.violations)
-    if result.c != witness.c:
-        return f"vertex sums are {result.c} mod {g.p}, witness claims {witness.c}"
+    if result.c != outcome.c:
+        return f"vertex sums are {result.c} mod {g.p}, witness claims {outcome.c}"
     return None
 
 

@@ -323,11 +323,15 @@ class TestStore:
     # Edits to the first [u, v, label] entry, [0, 1, 5], of the order-5 MOP's
     # k = 2 witness: a label outside the interval, edge (0, 1) renamed to the
     # absent (1, 3), a label that is not a number, and the label as a float;
-    # or to the witness's c = 1, as a float.
-    @pytest.mark.parametrize("edit", [{2: 99}, {0: 1, 1: 3}, {2: "x"}, {2: 5.0}, {"c": 1.0}],
-                             ids=["label-99", "absent-edge", "label-string", "label-float",
-                                  "c-float"])
-    def test_stored_witness_that_fails_is_redecided(self, tmp_path, caplog, edit):
+    # or to the witness's c = 1, as a float.  Each with the fault it logs.
+    @pytest.mark.parametrize("edit, fault", [
+        ({2: 99}, "labels are not a bijection onto [2, 8]: [2, 3, 4, 6, 7, 8, 99]"),
+        ({0: 1, 1: 3}, "labeling references edge (1, 3) absent from the graph"),
+        ({2: "x"}, "edge (0, 1) labeled 'x': not all integers"),
+        ({2: 5.0}, "edge (0, 1) labeled 5.0: not all integers"),
+        ({"c": 1.0}, "witness claims c=1.0, not an integer"),
+    ], ids=["label-99", "absent-edge", "label-string", "label-float", "c-float"])
+    def test_stored_witness_that_fails_is_redecided(self, tmp_path, caplog, edit, fault):
         lines = [emit_graph6(g) for g in generate_mops(5)]
         store_path = tmp_path / "store.jsonl"
         fresh = run_census(lines, store=CensusStore(store_path))
@@ -343,15 +347,18 @@ class TestStore:
         assert rows == fresh
         g = parse_graph6(rows[0].code)
         assert verify_labeling(g, rows[0].witnesses[2].labeling).valid
-        assert "stored witness for k=2" in caplog.text
+        assert caplog.messages == [f"stored outcome for k=2 on {rows[0].code} rejected: {fault}"]
         stored = store_path.read_text().splitlines()
         assert len(stored) == 2  # the corrected row is appended, last wins
         assert CensusStore(store_path).load()[rows[0].code] == fresh[0]
 
     # The order-5 MOP's k = 0 is rejected by the counting filter; its stored
-    # reason is removed, or replaced by the other reason or by a non-reason.
-    @pytest.mark.parametrize("reason", [None, "search-exhausted", 5],
-                             ids=["missing", "wrong", "not-a-reason"])
+    # reason is removed, or replaced by JSON null, the other reason, a name
+    # that is no reason the solver gives, or a non-reason.
+    MISSING = object()
+
+    @pytest.mark.parametrize("reason", [MISSING, None, "search-exhausted", "pendant-supply", 5],
+                             ids=["missing", "null", "wrong", "unknown", "not-a-reason"])
     def test_residue_without_witness_or_right_reason_is_redecided(
         self, tmp_path, monkeypatch, caplog, reason
     ):
@@ -361,7 +368,7 @@ class TestStore:
         payload = json.loads(store_path.read_text())
         assert payload["ks"] == [0, 1, 2, 3, 4]
         assert payload["ruled_out"].pop("0") == "counting-filter"
-        if reason is not None:
+        if reason is not self.MISSING:
             payload["ruled_out"]["0"] = reason
         store_path.write_text(json.dumps(payload, separators=(",", ":")) + "\n")
 
@@ -376,11 +383,63 @@ class TestStore:
         rows = run_census(lines, store=CensusStore(store_path))
         assert seen == [(0,)]
         assert rows == fresh
-        rejected = f"stored reason for k=0 on {rows[0].code} rejected: {reason!r}"
-        assert (rejected in caplog.text) == (reason is not None)
-        assert "rejected" not in caplog.text.replace(rejected, "")
+        assert caplog.messages == ([] if reason is self.MISSING else [
+            f"stored outcome for k=0 on {rows[0].code} rejected: "
+            f"reason {reason!r}, expected 'counting-filter'"])
         assert len(store_path.read_text().splitlines()) == 2
         assert CensusStore(store_path).load()[rows[0].code] == fresh[0]
+
+    # k = 2 of the order-5 MOP listed under both dicts, beside the reason the
+    # filter implies for it: only the witness is judged, so one whose first
+    # label is raised to 99 is decided again rather than ruled out.
+    @pytest.mark.parametrize("label", [5, 99], ids=["witness-verifies", "witness-fails"])
+    def test_witness_outranks_stored_reason(self, tmp_path, monkeypatch, caplog, label):
+        lines = [emit_graph6(g) for g in generate_mops(5)]
+        store_path = tmp_path / "store.jsonl"
+        fresh = run_census(lines, store=CensusStore(store_path))
+        payload = json.loads(store_path.read_text())
+        assert payload["witnesses"]["2"]["labels"][0] == [0, 1, 5]
+        payload["witnesses"]["2"]["labels"][0][2] = label
+        payload["ruled_out"]["2"] = "search-exhausted"
+        store_path.write_text(json.dumps(payload) + "\n")
+
+        seen = []
+        real = census_mod.classify_detailed
+
+        def recording(g, ks=None):
+            seen.append(tuple(ks))
+            return real(g, ks)
+
+        monkeypatch.setattr(census_mod, "classify_detailed", recording)
+        rows = run_census(lines, store=CensusStore(store_path))
+        assert rows == fresh
+        if label == 5:
+            assert seen == [] and caplog.messages == []
+            assert len(store_path.read_text().splitlines()) == 1
+        else:
+            assert seen == [(2,)]
+            assert caplog.messages == [
+                f"stored outcome for k=2 on {rows[0].code} rejected: "
+                "labels are not a bijection onto [2, 8]: [2, 3, 4, 6, 7, 8, 99]"]
+            assert len(store_path.read_text().splitlines()) == 2
+
+    def test_stored_residue_past_the_order_is_ignored(self, tmp_path, monkeypatch, caplog):
+        # Keys 5 and 7 name no residue of the order-5 MOP: neither is judged
+        # nor logged, and the row is served as stored.
+        lines = [emit_graph6(g) for g in generate_mops(5)]
+        store_path = tmp_path / "store.jsonl"
+        fresh = run_census(lines, store=CensusStore(store_path))
+        payload = json.loads(store_path.read_text())
+        payload["witnesses"]["5"] = {**payload["witnesses"]["2"], "c": 3}
+        payload["ruled_out"]["7"] = "pendant-supply"
+        store_path.write_text(json.dumps(payload) + "\n")
+
+        calls = record_calls(monkeypatch, census_mod, ["classify_detailed"])
+        rows = run_census(lines, store=CensusStore(store_path))
+        assert rows == fresh
+        assert calls["classify_detailed"] == []
+        assert caplog.messages == []
+        assert len(store_path.read_text().splitlines()) == 1
 
     def test_derived_keys_carry_no_weight(self, tmp_path):
         # graph6, spectrum and ks are written for readers; on load only the
@@ -594,6 +653,19 @@ class TestConjecture:
         rows = run_census([emit_graph6(g) for g in generate_mops(5)])
         assert verdict.holds == all(row.spectrum == (2,) for row in rows)
         assert verdict.checked == len(rows)
+
+
+class TestPaperClaims:
+    @pytest.mark.slow
+    def test_order_12_mops_are_4em_not_3em(self):
+        # Paper claim (ii) at the one order the counting filter leaves open
+        # (TestCountingFilter in test_solver): 6k = 12 (mod 12) rejects k = 3
+        # and admits k = 4, and every order-12 MOP class has a 4-EM witness.
+        lines = [emit_graph6(g) for g in generate_mops(12, p_max=12)]
+        rows = run_census(lines, ks=[3, 4], jobs=2, p_max=12)
+        assert len(rows) == 733
+        assert all(row.status == "ok" and row.spectrum == (4,) for row in rows)
+        assert all(row.ruled_out == {3: "counting-filter"} for row in rows)
 
 
 class TestGoldenPin:

@@ -481,12 +481,12 @@ class TestPublicSurface:
         return sites, defs
 
     def test_one_check_per_witness(self):
-        # The solver checks each witness it builds, and the census each witness
+        # The solver checks each witness it builds, and the census each outcome
         # it reads from its store; no other code checks one, so none is checked
         # twice.
-        sites, _ = self.package_uses("witness_fault", "verify_labeling")
-        assert sites["witness_fault"] == {("solver", "_decide"), ("census", "_stored_outcomes")}
-        assert sites["verify_labeling"] == {("solver", "witness_fault")}
+        sites, _ = self.package_uses("outcome_fault", "verify_labeling")
+        assert sites["outcome_fault"] == {("solver", "_decide"), ("census", "_stored_outcomes")}
+        assert sites["verify_labeling"] == {("solver", "outcome_fault")}
 
     def test_one_search_mode(self):
         # The engine needs one solution per (k, c) search, so the search has

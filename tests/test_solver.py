@@ -1,5 +1,6 @@
 """Solver, verifier, spectra, and the no-pruning permutation oracle."""
 
+import ast
 import hashlib
 import itertools
 import json
@@ -28,6 +29,7 @@ from edgemagic import (
     verify_labeling,
     witness_to_json,
 )
+import edgemagic.census as census_mod
 import edgemagic.solver as solver_mod
 from edgemagic.generators import generate_by_edge_count, generate_mops, named_family
 from edgemagic.solver import Q_BRUTE, witness_from_dict, witness_to_dict
@@ -176,7 +178,7 @@ class TestClassify:
 
     def test_every_witness_checked_once(self, monkeypatch):
         # The edgeless graph's empty labelling is checked like any other.
-        calls = record_calls(monkeypatch, solver_mod, ["witness_fault"])["witness_fault"]
+        calls = record_calls(monkeypatch, solver_mod, ["outcome_fault"])["outcome_fault"]
         for g in (MOP4, K2, Graph(3)):
             outcomes = classify_detailed(g)
             witnesses = [w for w in outcomes.values() if isinstance(w, Witness)]
@@ -398,6 +400,38 @@ class TestVerifyLabeling:
     def test_empty_labeling_on_edgeless_graph(self):
         result = verify_labeling(Graph(2), Labeling(4, {}))
         assert result.valid and result.c == 0
+
+
+class TestOutcomeFault:
+    # The order-4 MOP's counting filter admits k = 0 and rejects k = 1, so
+    # "search-exhausted" settles 0 and "counting-filter" settles 1; every
+    # other reason, an unknown name or a non-string, is a fault.
+    @pytest.mark.parametrize("k, reason, fault", [
+        (1, "counting-filter", None),
+        (1, "search-exhausted", "reason 'search-exhausted', expected 'counting-filter'"),
+        (0, "search-exhausted", None),
+        (0, "counting-filter", "reason 'counting-filter', expected 'search-exhausted'"),
+        (0, "pendant-supply", "reason 'pendant-supply', expected 'search-exhausted'"),
+        (1, "pendant-supply", "reason 'pendant-supply', expected 'counting-filter'"),
+        (0, 5, "reason 5, expected 'search-exhausted'"),
+        (1, None, "reason None, expected 'counting-filter'"),
+    ], ids=["rejects-filter", "rejects-search", "admits-search", "admits-filter",
+            "admits-unknown", "rejects-unknown", "admits-int", "rejects-none"])
+    def test_reasons(self, k, reason, fault):
+        assert counting_filter(MOP4, k) == (k == 0)
+        assert solver_mod.outcome_fault(MOP4, k, reason) == fault
+
+    def test_census_spells_no_reason(self):
+        # The solver alone names the reasons: the census judges a stored one
+        # with outcome_fault, so no census function holds either string.
+        tree = ast.parse(Path(census_mod.__file__).read_text())
+        spelled = {(fn.name, node.value)
+                   for fn in ast.walk(tree)
+                   if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                   for node in ast.walk(fn)
+                   if isinstance(node, ast.Constant)
+                   and node.value in ("counting-filter", "search-exhausted")}
+        assert spelled == set()
 
 
 class TestEnumerate:
