@@ -5,8 +5,9 @@ of k values) once per isomorphism class, and emits deterministic CSV or
 JSONL reports ordered by canonical code.  It runs in two stages: a dedupe
 stage maps records to classes and serves what the store already proves, and
 a decide stage classifies the rest, in order, on an optional process pool.
-The prime-order conjecture check feeds the generated MOP classes, already
-canonical, straight to the decide stage and keeps only counterexamples.
+The MOP spectrum check feeds the MOP classes of one order p >= 5, already
+canonical, to the decide stage and keeps each class whose spectrum is not
+k = 2 (mod p/gcd(p, 6)), the residues the counting filter admits.
 Each row is appended to an optional JSONL store, keyed by canonical code and
 solver version, as soon as its class is decided, so interrupted or repeated
 runs reuse earlier work instead of recomputing.  A row holds each residue's
@@ -50,6 +51,7 @@ from .solver import (
     SOLVER_VERSION,
     Labeling,
     Witness,
+    _check_base_label,
     classify_detailed,
     counting_filter,
     outcome_fault,
@@ -98,7 +100,7 @@ class CensusRow:
 
 @dataclass(frozen=True)
 class ConjectureVerdict:
-    """Outcome of the prime-order check that every MOP spectrum is exactly {2}."""
+    """The MOP classes of order p whose spectrum is not ``filter_admits``, if any."""
 
     p: int
     counterexamples: tuple[tuple[str, tuple[int, ...]], ...]
@@ -264,7 +266,7 @@ def run_census(
 
     ``source`` is any iterable of graph6 lines (blank lines skipped).  Every
     residue 0..p-1 is decided when ``ks`` is None, else only the residues of
-    ``ks`` (reduced mod each graph's p).  Unreadable records
+    ``ks``, nonnegative ints reduced mod each graph's p.  Unreadable records
     are reported with their line number and processing continues.  A graph
     over the cap is not canonicalized: its status-"skipped" row is keyed by
     its own graph6 record, so isomorphic ones get a row each.  Edgeless
@@ -281,8 +283,10 @@ def run_census(
         ks = list(ks)
         if not ks:
             raise ValueError("k-list mode needs at least one k")
-        if any(k < 0 for k in ks):
+        if any(type(k) is int and k < 0 for k in ks):
             raise ValueError(f"k values must be nonnegative, got {sorted(ks)}")
+        for k in ks:
+            _check_base_label(k)
     if on_error is None:
         def on_error(lineno, message):
             logger.warning("line %d: %s", lineno, message)
@@ -369,37 +373,28 @@ def rows_from_jsonl(source) -> list[CensusRow]:
     return [_row_from_dict(json.loads(line)) for line in source if line.strip()]
 
 
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
 def check_mop_conjecture(p: int, jobs: int = 1) -> ConjectureVerdict:
-    """Exhaustively test that every MOP of prime order p has spectrum exactly {2}.
+    """Exhaustively test that every MOP of order p has the spectrum the filter admits.
 
-    The counting filter already forces k = 2 for q = 2p-3 and prime p > 3
-    (the admitted set is recorded for cross-checking); deciding every residue
-    of every MOP class supplies the other direction: any class whose spectrum
-    is not (2,).  The order names the graphs, so it is their cap.  Rows are
-    not kept, and no store is read or written.
+    A MOP has q = 2p-3 edges, so the counting filter reads 6k = 12 (mod p)
+    and admits exactly k = 2 (mod p/gcd(p, 6)): the paper's conjectured {2}
+    at prime p, a computed result at composite p.  A rejected residue is
+    never a member, so a class deviates exactly where the search exhausts an
+    admitted residue.  The check starts at p = 5: at p = 3 the filter admits
+    every k and at p = 4 it admits k = 0, where the MOP is not k-EM.  The
+    order names the graphs, so it is their cap.  Rows are not kept, and no
+    store is read or written.
     """
-    if not is_prime(p):
-        raise ValueError(f"order must be prime, got {p}")
     if p < 5:
-        raise ValueError(f"prime-order check starts at p=5, got {p}")
+        raise ValueError(f"MOP spectrum check starts at p=5, got {p}")
     mops = generate_mops(p, p_max=p)
     admitted = tuple(k for k in range(p) if counting_filter(mops[0], k))
 
     # Each generated graph is canonical, so its graph6 record is its class's code.
     classes = ((emit_graph6(g), g, {}, tuple(range(p))) for g in mops)
     decided = _decide_classes(classes, None, jobs)
-    counterexamples = tuple((code, row.spectrum) for code, row in decided if row.spectrum != (2,))
+    counterexamples = tuple(
+        (code, row.spectrum) for code, row in decided if row.spectrum != admitted)
     return ConjectureVerdict(
         p=p,
         counterexamples=counterexamples,

@@ -168,7 +168,7 @@ def cmd_conjecture(args, config: CliConfig) -> int:
     verdict = check_mop_conjecture(args.p, jobs=config.jobs)
     if verdict.holds:
         print(f"HOLDS: all {verdict.checked} maximal outerplanar graphs of order "
-              f"{verdict.p} have spectrum {{2}}")
+              f"{verdict.p} have spectrum {{{_spectrum_text(verdict.filter_admits)}}}")
         return 0
     print(f"FAILS: {len(verdict.counterexamples)} of {verdict.checked} graphs deviate")
     for code, spectrum in verdict.counterexamples:
@@ -217,8 +217,9 @@ def build_parser() -> argparse.ArgumentParser:
                           help="keep edgeless graphs in the tables")
     p_census.set_defaults(func=cmd_census)
 
-    p_conj = sub.add_parser("conjecture", help="check the prime-order MOP spectrum {2}")
-    p_conj.add_argument("p", type=int, help="prime order >= 5")
+    p_conj = sub.add_parser(
+        "conjecture", help="check every MOP spectrum of one order against the counting filter")
+    p_conj.add_argument("p", type=int, help="order >= 5")
     p_conj.add_argument("--jobs", type=int)
     p_conj.set_defaults(func=cmd_conjecture)
 

@@ -97,10 +97,17 @@ class VerifyResult:
     violations: list[str] = field(default_factory=list)
 
 
-def label_residues(k: int, q: int, p: int) -> tuple[int, ...]:
-    """Multiplicities, indexed by residue, of [k, k+q-1] mod p: the search alphabet."""
+def _check_base_label(k) -> None:
+    """Raise ``ValueError`` unless k is an int (not a bool) >= 0, as for ``verify_labeling``."""
+    if type(k) is not int:
+        raise ValueError(f"base label k must be an int, got {k!r}")
     if k < 0:
         raise ValueError(f"base label k must be nonnegative, got {k}")
+
+
+def label_residues(k: int, q: int, p: int) -> tuple[int, ...]:
+    """Multiplicities, indexed by residue, of [k, k+q-1] mod p: the search alphabet."""
+    _check_base_label(k)
     if q < 0 or p < 1:
         raise ValueError(f"need q >= 0 and p >= 1, got q={q}, p={p}")
     counts = [q // p] * p
@@ -116,8 +123,7 @@ def counting_filter(g: Graph, k: int) -> bool:
     label twice, so 2*(k + ... + k+q-1) = 2qk + q(q-1) must vanish mod p.
     Returns False only when no labeling can exist; True is inconclusive.
     """
-    if k < 0:
-        raise ValueError(f"base label k must be nonnegative, got {k}")
+    _check_base_label(k)
     q = g.q
     return (2 * q * k + q * (q - 1)) % g.p == 0
 
@@ -295,8 +301,6 @@ def _witness_from_residues(
 
 def is_k_em(g: Graph, k: int) -> Witness | None:
     """Exact k-EM decision: a witness that ``outcome_fault`` accepts, else None."""
-    if k < 0:
-        raise ValueError(f"base label k must be nonnegative, got {k}")
     outcome = _decide(g, k, _search_plan(g), {})
     return outcome if isinstance(outcome, Witness) else None
 
@@ -360,21 +364,21 @@ def classify(g: Graph) -> KSpectrum:
 def classify_detailed(g: Graph, ks=None) -> dict[int, Witness | str]:
     """Decide k-EM status for each requested residue: a witness, or why not.
 
-    ks defaults to all of 0..p-1; values must be nonnegative and are reduced
-    mod p.  Returns {k: outcome} in ascending k, where the outcome is a witness
-    that g is k-EM or the reason it is not, "counting-filter" or
-    "search-exhausted".  Residues whose label residue multisets are equal share
-    one search.  When p divides q every k has the same multiset, so such a
-    graph is k-EM for every k or for none.  A residue k and its partner
+    ks defaults to all of 0..p-1; values must be nonnegative ints and are
+    reduced mod p.  Returns {k: outcome} in ascending k, where the outcome is
+    a witness that g is k-EM or the reason it is not, "counting-filter" or
+    "search-exhausted".  Residues whose label residue multisets are equal
+    share one search.  When p divides q every k has the same multiset, so
+    such a graph is k-EM for every k or for none.  A residue k and its partner
     1-q-k (mod p) share one search too, whether or not both are requested:
     g is k-EM exactly when it is (1-q-k)-EM, and the partner's witness negates
     every residue and c.  For a maximal outerplanar graph the partners are k
     and 4-k.  So each outcome depends on g and k mod p alone, not on ks.
     Each witness has passed ``outcome_fault`` (see ``_decide``).
     """
-    ks = range(g.p) if ks is None else list(ks)
-    if ks and min(ks) < 0:
-        raise ValueError(f"base label k must be nonnegative, got {min(ks)}")
+    ks = range(g.p) if ks is None else sorted(ks)
+    for k in ks:  # before reducing: True % p is an int
+        _check_base_label(k)
     plan = _search_plan(g)
     searches: dict = {}
     return {k: _decide(g, k, plan, searches) for k in sorted({k % g.p for k in ks})}
@@ -390,8 +394,6 @@ def brute_force_is_k_em(g: Graph, k: int, q_cap: int = Q_BRUTE) -> Witness | Non
     step swaps residues within a suffix, and only the vertex sums at the ends
     of edges whose residue changed are updated.
     """
-    if k < 0:
-        raise ValueError(f"base label k must be nonnegative, got {k}")
     if g.q > q_cap:
         raise ValueError(f"brute force capped at q={q_cap} (got q={g.q})")
     p, edges = g.p, g.edges

@@ -1,4 +1,4 @@
-"""Census runs, persistence, reports, and the prime-order conjecture check."""
+"""Census runs, persistence, reports, and the MOP spectrum check."""
 
 import concurrent.futures
 import hashlib
@@ -29,7 +29,6 @@ from edgemagic.census import (
     CensusStore,
     ConjectureVerdict,
     check_mop_conjecture,
-    is_prime,
     report_emit,
     rows_from_jsonl,
     run_census,
@@ -607,8 +606,20 @@ class TestConjecture:
         assert verdict.holds and verdict.checked == 4
         assert verdict.filter_admits == (2,)
 
+    # Classes and admitted residues, k = 2 (mod p/gcd(p, 6)), per composite order.
+    COMPOSITE = {6: (3, (0, 1, 2, 3, 4, 5)), 8: (12, (2, 6)), 9: (27, (2, 5, 8)), 10: (82, (2, 7))}
+
+    @pytest.mark.parametrize("p", sorted(COMPOSITE))
+    def test_composite_order_holds(self, p):
+        checked, admitted = self.COMPOSITE[p]
+        assert check_mop_conjecture(p) == ConjectureVerdict(
+            p=p, counterexamples=(), checked=checked, filter_admits=admitted)
+
     def test_parallel_matches_sequential(self):
         assert check_mop_conjecture(7, jobs=2) == check_mop_conjecture(7)
+
+    def test_composite_parallel_matches_sequential(self):
+        assert check_mop_conjecture(8, jobs=2) == check_mop_conjecture(8)
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_order_seven_canonicalizes_and_parses_nothing(self, monkeypatch, jobs):
@@ -618,17 +629,12 @@ class TestConjecture:
         assert verdict == ConjectureVerdict(
             p=7, counterexamples=(), checked=4, filter_admits=(2,))
 
-    def test_not_prime_rejected(self):
-        with pytest.raises(ValueError, match="prime"):
-            check_mop_conjecture(6)
-
     def test_too_small_rejected(self):
-        with pytest.raises(ValueError, match="p=5"):
-            check_mop_conjecture(3)
-
-    def test_is_prime(self):
-        assert [n for n in range(2, 16) if is_prime(n)] == [2, 3, 5, 7, 11, 13]
-        assert not is_prime(1)
+        # The filter admits every k at p = 3 and k = 0 at p = 4, where the
+        # MOP is not k-EM, so the law starts at p = 5.
+        for p in (3, 4):
+            with pytest.raises(ValueError, match="p=5"):
+                check_mop_conjecture(p)
 
     def test_counterexample_reported(self, monkeypatch):
         target = emit_graph6(generate_mops(7)[2])
@@ -646,16 +652,42 @@ class TestConjecture:
         assert verdict.checked == 4
         assert verdict.counterexamples == ((target, ()),)
 
+    def test_composite_counterexample_reported(self, monkeypatch):
+        target = emit_graph6(generate_mops(8)[5])
+        real = census_mod.classify_detailed
+
+        def dropping_six(g, ks=None):
+            outcomes = real(g, ks)
+            if emit_graph6(g) == target:
+                outcomes[6] = "search-exhausted"
+            return outcomes
+
+        monkeypatch.setattr(census_mod, "classify_detailed", dropping_six)
+        verdict = check_mop_conjecture(8)
+        assert verdict.holds is False
+        assert verdict.checked == 12
+        assert verdict.counterexamples == ((target, (2,)),)
+
     def test_verdict_matches_census_view(self):
         # holds exactly when a census over the same generator output shows
-        # every spectrum equal to {2}
-        verdict = check_mop_conjecture(5)
-        rows = run_census([emit_graph6(g) for g in generate_mops(5)])
-        assert verdict.holds == all(row.spectrum == (2,) for row in rows)
-        assert verdict.checked == len(rows)
+        # every spectrum equal to the residues the filter admits
+        for p in (5, 8):
+            verdict = check_mop_conjecture(p)
+            rows = run_census([emit_graph6(g) for g in generate_mops(p)])
+            assert verdict.holds == all(row.spectrum == verdict.filter_admits for row in rows)
+            assert verdict.checked == len(rows)
 
 
 class TestPaperClaims:
+    @pytest.mark.slow
+    def test_order_12_mops_have_the_admitted_spectrum(self):
+        # Every order-12 MOP class is k-EM exactly at the even k, the
+        # residues 6k = 12 (mod 12) admits.
+        verdict = check_mop_conjecture(12, jobs=2)
+        assert verdict.checked == 733
+        assert verdict.filter_admits == (0, 2, 4, 6, 8, 10)
+        assert verdict.holds
+
     @pytest.mark.slow
     def test_order_12_mops_are_4em_not_3em(self):
         # Paper claim (ii) at the one order the counting filter leaves open

@@ -300,9 +300,19 @@ class TestConjecture:
         out = capsys.readouterr().out
         assert "HOLDS" in out and "4" in out
 
-    def test_not_prime(self, capsys):
-        assert main(["conjecture", "6"]) == 2
-        assert "prime" in capsys.readouterr().err
+    @pytest.mark.parametrize("p, classes, spectrum", [
+        (6, 3, "0;1;2;3;4;5"), (8, 12, "2;6"), (9, 27, "2;5;8"), (10, 82, "2;7"),
+    ], ids=["6", "8", "9", "10"])
+    def test_composite_order_holds(self, capsys, p, classes, spectrum):
+        assert main(["conjecture", str(p)]) == 0
+        assert capsys.readouterr().out == (
+            f"HOLDS: all {classes} maximal outerplanar graphs of order {p} "
+            f"have spectrum {{{spectrum}}}\n")
+
+    @pytest.mark.parametrize("p", ["3", "4"])
+    def test_order_below_five_rejected(self, capsys, p):
+        assert main(["conjecture", p]) == 2
+        assert capsys.readouterr().err == f"error: MOP spectrum check starts at p=5, got {p}\n"
 
     def test_zero_jobs_rejected(self, capsys):
         assert main(["conjecture", "7", "--jobs", "0"]) == 2
@@ -322,6 +332,21 @@ class TestConjecture:
         monkeypatch.setattr(census_mod, "classify_detailed", dropping_two)
         assert main(["conjecture", "7"]) == 1
         assert capsys.readouterr().out == "FAILS: 1 of 4 graphs deviate\n  FzhSO\t-\n"
+
+    def test_composite_counterexample_fails(self, capsys, monkeypatch):
+        # One order-8 class made to lose k = 6 keeps k = 2 alone.
+        target = emit_graph6(generate_mops(8)[5])
+        real = census_mod.classify_detailed
+
+        def dropping_six(g, ks=None):
+            outcomes = real(g, ks)
+            if emit_graph6(g) == target:
+                outcomes[6] = "search-exhausted"
+            return outcomes
+
+        monkeypatch.setattr(census_mod, "classify_detailed", dropping_six)
+        assert main(["conjecture", "8"]) == 1
+        assert capsys.readouterr().out == "FAILS: 1 of 12 graphs deviate\n  Gvgie?\t2\n"
 
     def test_cap_lifted_to_order(self, capsys, monkeypatch):
         monkeypatch.setenv("EDGEMAGIC_P_MAX", "5")
@@ -414,7 +439,7 @@ class TestReadme:
                 pattern = ".*".join(map(re.escape, documented.strip().split("...")))
                 assert re.fullmatch(pattern, repr(value)), line
                 shown += 1
-        assert shown == 4
+        assert shown == 5
 
 
 class TestPublicSurface:

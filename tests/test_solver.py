@@ -4,7 +4,9 @@ import ast
 import hashlib
 import itertools
 import json
+import math
 import random
+import re
 import sys
 from pathlib import Path
 
@@ -107,6 +109,15 @@ class TestCountingFilter:
             order6 = [row.split(",")[3] for row in rows if row.split(",")[1] == "6"]
             assert order6 == [str(k)] * 3
 
+    def test_mop_admits_two_mod_p_over_gcd_six(self):
+        # 6k = 12 (mod p) holds exactly when k = 2 (mod p/gcd(p, 6)): for
+        # prime p >= 5 the paper's k = 2 (mod p).
+        for p in range(3, 201):
+            fan = named_family("fan", p)
+            period = p // math.gcd(p, 6)
+            assert [k for k in range(p) if counting_filter(fan, k)] == \
+                [k for k in range(p) if k % period == 2 % period], p
+
     def test_edgeless_always_passes(self):
         g = Graph(3)
         assert all(counting_filter(g, k) for k in range(6))
@@ -120,6 +131,28 @@ class TestCountingFilter:
             for k in range(g.p):
                 if not counting_filter(g, k):
                     assert brute_force_is_k_em(g, k, q_cap=7) is None
+
+
+class TestBaseLabelRule:
+    # Every entry that takes a base label k accepts only an int (not a bool)
+    # that is nonnegative, the rule verify_labeling applies to a labeling's k.
+    ENTRIES = {
+        "classify_detailed": lambda k, store: classify_detailed(MOP4, [k]),
+        "counting_filter": lambda k, store: counting_filter(MOP4, k),
+        "run_census": lambda k, store: census_mod.run_census(["C|"], ks=[k], store=store),
+        "is_k_em": lambda k, store: is_k_em(K2, k),
+        "label_residues": lambda k, store: label_residues(k, 5, 4),
+        "brute_force_is_k_em": lambda k, store: brute_force_is_k_em(MOP4, k),
+    }
+
+    @pytest.mark.parametrize("k", [2.0, 2.5, True, "2", -1])
+    @pytest.mark.parametrize("entry", sorted(ENTRIES))
+    def test_entry_rejects(self, tmp_path, entry, k):
+        store_path = tmp_path / "store.jsonl"
+        message = "nonnegative" if k == -1 else re.escape(f"base label k must be an int, got {k!r}")
+        with pytest.raises(ValueError, match=message):
+            self.ENTRIES[entry](k, census_mod.CensusStore(store_path))
+        assert not store_path.exists()
 
 
 class TestIsKEm:
