@@ -26,7 +26,6 @@ from .solver import (
     witness_to_json,
 )
 from .generators import (
-    P_SPARSE,
     SparseSpec,
     generate_by_edge_count,
     generate_mops,

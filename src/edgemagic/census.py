@@ -38,7 +38,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .graphs import (
-    GRAPH6_HEADER,
     P_MAX,
     Graph,
     Graph6Error,
@@ -75,7 +74,7 @@ class CensusRow:
     exhausted.  ``graph6``, ``spectrum`` and ``ks`` derive from these and
     ``code``, so a row cannot disagree with itself.  A stored residue is
     reused only if ``solver.outcome_fault`` accepts it.  Rows for graphs
-    beyond the configured caps carry status "skipped" and no spectrum.
+    over the vertex cap carry status "skipped" and no spectrum.
     """
 
     code: str
@@ -272,21 +271,22 @@ def run_census(
     its own graph6 record, so isomorphic ones get a row each.  Edgeless
     graphs, which are k-EM for every k with c = 0, are excluded unless
     ``include_empty`` is set.
-    A record of a labelled graph read earlier in the run is parsed and then
-    skipped.  A record is canonicalized only when its relabelling by
-    nonincreasing degree (ties in vertex order) differs from every earlier
-    record's, since equal relabellings mean isomorphic graphs; one search per
-    new key gives both the code and the representative.  Each class's row is
+    A record read earlier in the run is parsed and then skipped.  A record
+    is canonicalized only when its relabelling by nonincreasing degree (ties
+    in vertex order) differs from every earlier record's, since equal
+    relabellings mean isomorphic graphs; one search per new key gives both
+    the code and the representative.  Each class's row is
     appended to ``store`` as soon as it is decided.
     """
     if ks is not None:
         ks = list(ks)
         if not ks:
             raise ValueError("k-list mode needs at least one k")
-        if any(type(k) is int and k < 0 for k in ks):
+        for k in ks:  # types first, since the message below sorts ks
+            if type(k) is not int:
+                _check_base_label(k)  # raises for a k that is not an int
+        if min(ks) < 0:
             raise ValueError(f"k values must be nonnegative, got {sorted(ks)}")
-        for k in ks:
-            _check_base_label(k)
     if on_error is None:
         def on_error(lineno, message):
             logger.warning("line %d: %s", lineno, message)
@@ -295,9 +295,10 @@ def run_census(
     rows: dict[str, CensusRow] = {}
     # code -> (code, representative, decided residues, requested residues)
     pending: dict[str, tuple] = {}
-    # Records read so far, header removed.  A record that parses spells exactly
-    # one labelled graph, so this holds each labelled graph once, in far less
-    # memory than the parsed graphs would take.
+    # Records read so far, as read.  A record that parses spells exactly one
+    # labelled graph, so this holds each labelled graph once (a copy with the
+    # graph6 header meets it at the degree-sorted key), in far less memory
+    # than the parsed graphs would take.
     read: set[str] = set()
     # (p, degree-sorted bits) of the records searched so far.  An equal key
     # means an isomorphic graph with equal p and q, whose class the earlier
@@ -313,10 +314,9 @@ def run_census(
         except Graph6Error as exc:
             on_error(lineno, str(exc))
             continue
-        labelled = record.removeprefix(GRAPH6_HEADER)
-        if labelled in read:
+        if record in read:
             continue  # handled at its first reading: left out, or in rows or pending
-        read.add(labelled)
+        read.add(record)
         if g.q == 0 and not include_empty:
             continue
         if g.p > p_max:
@@ -327,7 +327,7 @@ def run_census(
         if key in keys:
             continue
         keys.add(key)
-        rep = canonical_graph(g, p_max=p_max)
+        rep = canonical_graph(g)
         code = emit_graph6(rep)
         if code in rows or code in pending:
             continue
@@ -385,6 +385,8 @@ def check_mop_conjecture(p: int, jobs: int = 1) -> ConjectureVerdict:
     order names the graphs, so it is their cap.  Rows are not kept, and no
     store is read or written.
     """
+    if type(p) is not int:
+        raise ValueError(f"order must be an int, got {p!r}")
     if p < 5:
         raise ValueError(f"MOP spectrum check starts at p=5, got {p}")
     mops = generate_mops(p, p_max=p)

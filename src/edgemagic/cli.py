@@ -6,10 +6,10 @@ error, a solver witness that fails its check included.  Graph streams read
 standard input when the source argument is "-"; a byte in them that is not
 UTF-8 makes its line an unreadable record.
 Caps and defaults fall back to environment variables EDGEMAGIC_P_MAX,
-EDGEMAGIC_P_SPARSE, EDGEMAGIC_STORE, EDGEMAGIC_FORMAT, and EDGEMAGIC_JOBS
-when the matching flag is not given.  A command that names an order of MOPs
-(``generate mop``, ``conjecture``) runs at that order; the vertex cap
-EDGEMAGIC_P_MAX guards canonical search over graphs read from input.
+EDGEMAGIC_STORE, EDGEMAGIC_FORMAT, and EDGEMAGIC_JOBS when the matching flag
+is not given.  A command that names an order (``generate mop``, ``generate
+sparse``, ``conjecture``) runs at that order; the vertex cap EDGEMAGIC_P_MAX
+guards only canonical search over graphs read from input.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from dataclasses import dataclass, replace
 
 from .census import CensusStore, check_mop_conjecture, report_emit, run_census
 from .generators import (
-    P_SPARSE,
     FAMILY_NAMES,
     SparseSpec,
     generate_mops,
@@ -49,7 +48,6 @@ class CliConfig:
     """Effective caps and IO defaults (flags first, then environment)."""
 
     p_max: int = P_MAX
-    p_sparse: int = P_SPARSE
     store: str | None = None
     format: str = "csv"
     jobs: int = 1
@@ -58,16 +56,14 @@ class CliConfig:
     def from_env(cls) -> "CliConfig":
         return cls(
             p_max=_env_int("EDGEMAGIC_P_MAX", P_MAX),
-            p_sparse=_env_int("EDGEMAGIC_P_SPARSE", P_SPARSE),
             store=os.environ.get("EDGEMAGIC_STORE") or None,
             format=os.environ.get("EDGEMAGIC_FORMAT") or "csv",
             jobs=_env_int("EDGEMAGIC_JOBS", 1),
         )
 
     def __post_init__(self):
-        for name in ("p_max", "p_sparse"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"cap {name} must be positive")
+        if self.p_max < 1:
+            raise ValueError("cap p_max must be positive")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
         if self.format not in ("csv", "jsonl"):
@@ -118,8 +114,7 @@ def cmd_generate(args, config: CliConfig) -> int:
     if args.kind == "mop":
         graphs = generate_mops(args.p, p_max=args.p)
     elif args.kind == "sparse":
-        spec = SparseSpec(args.p, args.h)
-        graphs = generate_sparse_graphs(spec, args.connected_only, p_cap=config.p_sparse)
+        graphs = generate_sparse_graphs(SparseSpec(args.p, args.h), args.connected_only)
     else:
         graphs = [named_family(args.name, args.n)]
     for g in graphs:

@@ -11,7 +11,9 @@ completeness oracle for the tests.  Sparse (p, p-h)-graphs come from
 edge-subset enumeration over the complete graph, with one canonical search
 per degree-sorted labelled subset: subsets whose relabellings by
 nonincreasing degree agree are isomorphic, so only the first is searched.
-Named families supply standard fixtures.
+Both generators run at the order they are given; subset enumeration visits
+all C(C(p, 2), q) subsets, so its cost, not a cap, bounds p.  Named families
+supply standard fixtures.
 """
 
 from __future__ import annotations
@@ -29,9 +31,6 @@ from .graphs import (
     emit_graph6,
     is_connected,
 )
-
-# Cap for subset enumeration over the complete graph (C(28, q) worst cases).
-P_SPARSE = 8
 
 FAMILY_NAMES = ("path", "cycle", "star", "complete", "fan", "wheel", "friendship")
 
@@ -118,23 +117,22 @@ def generate_mops(p: int, p_max: int = P_MAX) -> list[Graph]:
     """One canonical representative per isomorphism class of order-p MOPs.
 
     Classes are grown by ear insertion from the triangle, and each class is
-    canonicalized once, so the cap ``p_max`` still applies.  Every output has
+    canonicalized once.  Orders over ``p_max`` are refused.  Every output has
     q = 2p-3.  Sorted by canonical code.
     """
     if p < 3:
         raise ValueError(f"maximal outerplanar graphs need p >= 3, got {p}")
     if p > p_max:
         raise ValueError(f"MOP generation capped at p={p_max} (got p={p}); raise the cap")
-    reps = [canonical_graph(Graph(p, edges), p_max=p_max) for edges in _mop_classes(p)]
+    reps = [canonical_graph(Graph(p, edges)) for edges in _mop_classes(p)]
     return sorted(reps, key=emit_graph6)
 
 
-def generate_by_edge_count(
-    p: int, q: int, connected_only: bool = False, p_cap: int = P_SPARSE
-) -> list[Graph]:
+def generate_by_edge_count(p: int, q: int, connected_only: bool = False) -> list[Graph]:
     """One canonical representative per isomorphism class with p vertices, q edges.
 
-    Enumerates q-subsets of the complete graph's edges and keys each by its
+    Enumerates all C(C(p, 2), q) q-subsets of the complete graph's edges,
+    whatever p (at p = 8, q = 8 that is 3,108,105), and keys each by its
     degree-sorted relabelling (``_degree_sorted_bits``).  Equal keys mean
     isomorphic graphs, so a repeated key is skipped before the connectivity
     test, and only the first subset with each key gets a canonical search.
@@ -144,8 +142,6 @@ def generate_by_edge_count(
     """
     if p < 1 or q < 0:
         raise ValueError(f"need p >= 1 and q >= 0, got p={p}, q={q}")
-    if p > p_cap:
-        raise ValueError(f"subset enumeration capped at p={p_cap} (got p={p}); raise the cap")
     all_pairs = list(itertools.combinations(range(p), 2))
     if q > len(all_pairs):
         return []
@@ -159,16 +155,14 @@ def generate_by_edge_count(
         keys.add(key)
         if connected_only and not is_connected(g):
             continue
-        rep = canonical_graph(g, p_max=p)
+        rep = canonical_graph(g)
         by_code.setdefault(emit_graph6(rep), rep)
     return [by_code[key] for key in sorted(by_code)]
 
 
-def generate_sparse_graphs(
-    spec: SparseSpec, connected_only: bool = False, p_cap: int = P_SPARSE
-) -> list[Graph]:
+def generate_sparse_graphs(spec: SparseSpec, connected_only: bool = False) -> list[Graph]:
     """All (p, p-h)-graphs up to isomorphism, optionally connected only."""
-    return generate_by_edge_count(spec.p, spec.q, connected_only, p_cap)
+    return generate_by_edge_count(spec.p, spec.q, connected_only)
 
 
 def named_family(name: str, n: int) -> Graph:

@@ -10,23 +10,24 @@ one entry to that search: it builds the canonical graph from those columns,
 and the canonical code is that graph's graph6 record, so one search gives
 both.  The search stops any branch whose columns exceed the best found and
 tries one vertex of each twin class, but its worst case still grows
-factorially, so it refuses graphs over a cap (default ``P_MAX = 10``) that
-callers raise explicitly for larger runs.  Decoded and canonical graphs come
-out of the bits already normalized, so they are built without checking or
-sorting their edges again.
+factorially; it takes any order, and only a census of graphs read from input
+caps it (``P_MAX``).  Decoded and canonical graphs come out of the bits
+already normalized, so they are built without checking or sorting their
+edges again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-# Default cap for canonicalization (exact search over degree-respecting orderings).
+# Default vertex cap of a census on graphs read from input: larger ones are
+# not canonicalized (the search's worst case grows factorially).
 P_MAX = 10
 
 # graph6 uses printable ASCII 63..126, six data bits per character.
 _G6_MIN = 63
 _G6_MAX = 126
-GRAPH6_HEADER = ">>graph6<<"
+_GRAPH6_HEADER = ">>graph6<<"
 
 
 class Graph6Error(ValueError):
@@ -197,7 +198,7 @@ def emit_graph6(g: Graph) -> str:
 
 def parse_graph6(text: str) -> Graph:
     """Decode one graph6 record, with or without the optional format header."""
-    text = text.removeprefix(GRAPH6_HEADER).rstrip("\n")
+    text = text.removeprefix(_GRAPH6_HEADER).rstrip("\n")
     if not text:
         raise Graph6Error("empty graph6 record")
     values = [ord(ch) - _G6_MIN for ch in text]
@@ -258,13 +259,9 @@ def parse_graph6(text: str) -> Graph:
 # ---------------------------------------------------------------------------
 
 
-def _canonical_bits(g: Graph, p_max: int) -> int:
+def _canonical_bits(g: Graph) -> int:
     """Upper-triangle bits of g's canonical relabeling."""
     p = g.p
-    if p > p_max:
-        raise ValueError(
-            f"canonicalization capped at p={p_max} (got p={p}); raise the cap explicitly"
-        )
     masks = [0] * p
     neighbours: list[list[int]] = [[] for _ in range(p)]
     for u, v in g.edges:
@@ -339,12 +336,15 @@ def _canonical_bits(g: Graph, p_max: int) -> int:
     return bits
 
 
-def canonical_graph(g: Graph, p_max: int = P_MAX) -> Graph:
-    """The canonically relabeled copy of g (vertices sorted by nonincreasing degree)."""
-    return _graph_from_bits(g.p, _canonical_bits(g, p_max))
+def canonical_graph(g: Graph) -> Graph:
+    """The canonically relabeled copy of g (vertices sorted by nonincreasing degree).
+
+    Any order is searched, at a worst-case cost that grows factorially.
+    """
+    return _graph_from_bits(g.p, _canonical_bits(g))
 
 
-def canonical_form(g: Graph, p_max: int = P_MAX) -> bytes:
+def canonical_form(g: Graph) -> bytes:
     """Relabeling-invariant byte code identifying g's isomorphism class.
 
     Codes are graph6 records of ``canonical_graph(g)``, so they sort by
@@ -352,4 +352,4 @@ def canonical_form(g: Graph, p_max: int = P_MAX) -> bytes:
     canonical graph too calls ``canonical_graph`` and reads the code off it
     with ``emit_graph6``, making one search for both.
     """
-    return emit_graph6(canonical_graph(g, p_max)).encode("ascii")
+    return emit_graph6(canonical_graph(g)).encode("ascii")

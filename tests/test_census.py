@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import random
+import re
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
@@ -124,6 +125,13 @@ class TestRunCensus:
         assert len(firsts) == 3
         assert [row.status for row in rows] == ["ok", "ok", "skipped"]
 
+    def test_header_prefixed_repeat_meets_at_the_degree_sorted_key(self, monkeypatch):
+        # The census keys records as read; the header rule lives in parse_graph6.
+        calls = record_calls(monkeypatch, census_mod, ("canonical_graph",))
+        rows = run_census([">>graph6<<C|", "C|"])
+        assert [row.code for row in rows] == ["C}"]
+        assert len(calls["canonical_graph"]) == 1
+
     def test_equal_bits_of_different_orders_stay_apart(self, monkeypatch):
         # The edgeless graphs of orders 2 and 3 both have upper-triangle bits 0.
         calls = record_calls(monkeypatch, census_mod, ("canonical_graph",))
@@ -190,6 +198,14 @@ class TestRunCensus:
             run_census([], ks=[])
         with pytest.raises(ValueError, match="nonnegative"):
             run_census([], ks=[-1])
+        with pytest.raises(ValueError, match=re.escape("nonnegative, got [-2, 1, 3]")):
+            run_census(["C|"], ks=[3, -2, 1])
+
+    @pytest.mark.parametrize("ks", [[-1, "x"], ["x", -1]])
+    def test_k_types_checked_before_signs(self, ks):
+        # The message for a negative k sorts ks, which needs every k an int.
+        with pytest.raises(ValueError, match="base label k must be an int, got 'x'"):
+            run_census(["C|"], ks=ks)
 
     def test_jobs_parallel_matches_sequential(self):
         lines = [emit_graph6(g) for g in generate_mops(6)]
@@ -635,6 +651,11 @@ class TestConjecture:
         for p in (3, 4):
             with pytest.raises(ValueError, match="p=5"):
                 check_mop_conjecture(p)
+
+    @pytest.mark.parametrize("p", [5.0, "7"])
+    def test_order_not_an_int_rejected(self, p):
+        with pytest.raises(ValueError, match=re.escape(f"order must be an int, got {p!r}")):
+            check_mop_conjecture(p)
 
     def test_counterexample_reported(self, monkeypatch):
         target = emit_graph6(generate_mops(7)[2])

@@ -123,6 +123,12 @@ class TestGenerate:
         assert main(["generate", "sparse", "--p", "4", "--h", "1", "--connected-only"]) == 0
         assert len(capsys.readouterr().out.splitlines()) == 2
 
+    def test_sparse_runs_at_the_order_named(self, capsys):
+        # No cap on generate sparse: the order named runs, as for generate mop.
+        assert main(["generate", "sparse", "--p", "9", "--h", "6"]) == 0
+        assert capsys.readouterr().out.split() == [
+            "H@Q????", "HK_????", "Hk?????", "Hs?????", "Hw?????"]
+
     def test_family(self, capsys):
         assert main(["generate", "family", "path", "3"]) == 0
         record = capsys.readouterr().out.strip()
@@ -154,7 +160,8 @@ class TestGenerate:
         assert "positive" in capsys.readouterr().err
 
     @pytest.mark.parametrize("name, value", [("EDGEMAGIC_Q_ENUM", "abc"),
-                                             ("EDGEMAGIC_Q_BRUTE", "0")])
+                                             ("EDGEMAGIC_Q_BRUTE", "0"),
+                                             ("EDGEMAGIC_P_SPARSE", "0")])
     def test_unused_environment_variables_ignored(self, capsys, monkeypatch, name, value):
         monkeypatch.setenv(name, value)
         assert main(["solve", K2_RECORD, "--k", "0"]) == 0

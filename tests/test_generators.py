@@ -124,9 +124,9 @@ class TestGenerateMops:
     def test_one_canonicalization_per_class(self, monkeypatch):
         calls = []
 
-        def counted(g, p_max):
+        def counted(g):
             calls.append(g)
-            return canonical_graph(g, p_max=p_max)
+            return canonical_graph(g)
 
         monkeypatch.setattr(generators, "canonical_graph", counted)
         assert len(generate_mops(9)) == len(calls) == 27
@@ -220,9 +220,10 @@ class TestGenerateSparse:
         with pytest.raises(ValueError):
             SparseSpec(2, 3)
 
-    def test_cap(self):
-        with pytest.raises(ValueError, match="capped"):
-            generate_by_edge_count(9, 3)
+    def test_order_past_eight(self):
+        # No cap: the order named runs (C(36, 3) = 7,140 subsets here).
+        assert [emit_graph6(g) for g in generate_by_edge_count(9, 3)] == [
+            "H@Q????", "HK_????", "Hk?????", "Hs?????", "Hw?????"]
 
     def test_class_counts_match_vf2_oracle_order_four(self):
         import networkx as nx

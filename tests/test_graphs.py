@@ -221,11 +221,11 @@ class TestCanonicalForm:
         assert canonical_graph(rep) == rep
         assert emit_graph6(rep).encode() == canonical_form(g)
 
-    def test_cap_enforced(self):
-        g = Graph(11)
-        with pytest.raises(ValueError, match="capped"):
-            canonical_form(g)
-        assert canonical_form(g, p_max=11)  # explicit raise of the cap
+    def test_any_order_searched(self, rng):
+        # No cap: order 11 is past the census default of 10.
+        assert canonical_form(Graph(11)) == b"J??????????"
+        for g in [random_graph(rng, 11, 11) for _ in range(3)]:
+            assert canonical_form(g) == canonical_form(relabel(g, random_permutation(rng, 11)))
 
     @given(graphs(max_p=7), st.randoms(use_true_random=False))
     @settings(max_examples=150)
@@ -294,7 +294,7 @@ class TestDecodedGraphsNormalized:
     def test_decoded_and_canonical_graphs_match_validating_constructor(self, rng):
         for g in every_labelled_graph(5) + [random_graph(rng, 1, 12) for _ in range(200)]:
             self.assert_as_validated(parse_graph6(emit_graph6(g)))
-            self.assert_as_validated(canonical_graph(g, p_max=12))
+            self.assert_as_validated(canonical_graph(g))
         for _ in range(8):  # the long graph6 form
             self.assert_as_validated(parse_graph6(emit_graph6(random_graph(rng, 63, 70))))
 
