@@ -41,6 +41,7 @@ from .graphs import (
     P_MAX,
     Graph,
     Graph6Error,
+    _check_int,
     _degree_sorted_bits,
     canonical_graph,
     emit_graph6,
@@ -50,7 +51,6 @@ from .solver import (
     SOLVER_VERSION,
     Labeling,
     Witness,
-    _check_base_label,
     classify_detailed,
     counting_filter,
     outcome_fault,
@@ -62,6 +62,7 @@ from .generators import generate_mops
 logger = logging.getLogger(__name__)
 
 CSV_HEADER = "graph6,p,q,spectrum"
+_REPORT_FORMATS = ("csv", "jsonl")
 
 
 @dataclass(slots=True)
@@ -265,7 +266,8 @@ def run_census(
 
     ``source`` is any iterable of graph6 lines (blank lines skipped).  Every
     residue 0..p-1 is decided when ``ks`` is None, else only the residues of
-    ``ks``, nonnegative ints reduced mod each graph's p.  Unreadable records
+    ``ks``, ints >= 0 reduced mod each graph's p; ``jobs`` and ``p_max``
+    are ints >= 1, all checked before any record is read.  Unreadable records
     are reported with their line number and processing continues.  A graph
     over the cap is not canonicalized: its status-"skipped" row is keyed by
     its own graph6 record, so isomorphic ones get a row each.  Edgeless
@@ -282,11 +284,10 @@ def run_census(
         ks = list(ks)
         if not ks:
             raise ValueError("k-list mode needs at least one k")
-        for k in ks:  # types first, since the message below sorts ks
-            if type(k) is not int:
-                _check_base_label(k)  # raises for a k that is not an int
-        if min(ks) < 0:
-            raise ValueError(f"k values must be nonnegative, got {sorted(ks)}")
+        for k in ks:
+            _check_int(k, "base label k", 0)
+    _check_int(jobs, "jobs", 1)
+    _check_int(p_max, "cap p_max", 1)
     if on_error is None:
         def on_error(lineno, message):
             logger.warning("line %d: %s", lineno, message)
@@ -350,7 +351,7 @@ def _spectrum_cell(row: CensusRow) -> str:
 
 def report_emit(rows, format: str, dest) -> None:
     """Write rows as CSV (graph6,p,q,spectrum) or JSONL; byte-deterministic."""
-    if format not in ("csv", "jsonl"):
+    if format not in _REPORT_FORMATS:
         raise ValueError(f"unknown report format {format!r}")
     if isinstance(dest, (str, Path)):
         with open(dest, "w") as fh:
@@ -382,13 +383,11 @@ def check_mop_conjecture(p: int, jobs: int = 1) -> ConjectureVerdict:
     never a member, so a class deviates exactly where the search exhausts an
     admitted residue.  The check starts at p = 5: at p = 3 the filter admits
     every k and at p = 4 it admits k = 0, where the MOP is not k-EM.  The
-    order names the graphs, so it is their cap.  Rows are not kept, and no
-    store is read or written.
+    order names the graphs, so it is their cap.  p must be an int >= 5 and
+    ``jobs`` an int >= 1.  Rows are not kept, and no store is read or written.
     """
-    if type(p) is not int:
-        raise ValueError(f"order must be an int, got {p!r}")
-    if p < 5:
-        raise ValueError(f"MOP spectrum check starts at p=5, got {p}")
+    _check_int(p, "order", 5)
+    _check_int(jobs, "jobs", 1)
     mops = generate_mops(p, p_max=p)
     admitted = tuple(k for k in range(p) if counting_filter(mops[0], k))
 

@@ -21,7 +21,7 @@ import sys
 from contextlib import nullcontext, suppress
 from dataclasses import dataclass, replace
 
-from .census import CensusStore, check_mop_conjecture, report_emit, run_census
+from .census import _REPORT_FORMATS, CensusStore, check_mop_conjecture, report_emit, run_census
 from .generators import (
     FAMILY_NAMES,
     SparseSpec,
@@ -29,7 +29,7 @@ from .generators import (
     generate_sparse_graphs,
     named_family,
 )
-from .graphs import P_MAX, Graph6Error, emit_graph6, parse_graph6
+from .graphs import P_MAX, Graph6Error, _check_int, emit_graph6, parse_graph6
 from .solver import classify, is_k_em, witness_to_json
 
 
@@ -62,11 +62,9 @@ class CliConfig:
         )
 
     def __post_init__(self):
-        if self.p_max < 1:
-            raise ValueError("cap p_max must be positive")
-        if self.jobs < 1:
-            raise ValueError("jobs must be >= 1")
-        if self.format not in ("csv", "jsonl"):
+        _check_int(self.p_max, "cap p_max", 1)
+        _check_int(self.jobs, "jobs", 1)
+        if self.format not in _REPORT_FORMATS:
             raise ValueError(f"unknown report format {self.format!r}")
 
 
@@ -130,7 +128,7 @@ def _k_list(text: str) -> list[int]:
 
 
 def cmd_census(args, config: CliConfig) -> int:
-    ks = _k_list(args.k) if args.k else None
+    ks = _k_list(args.k) if args.k is not None else None
     if args.mode == "k-list" and ks is None:
         raise ValueError("k-list mode needs at least one k")
     if args.mode == "spectrum" and ks is not None:
@@ -204,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_census.add_argument("source", help="graph6 file or - for stdin")
     p_census.add_argument("--mode", choices=("spectrum", "k-list"))
     p_census.add_argument("--k", help="comma-separated k values for k-list mode")
-    p_census.add_argument("--format", choices=("csv", "jsonl"))
+    p_census.add_argument("--format", choices=_REPORT_FORMATS)
     p_census.add_argument("--out", help="report path (default stdout)")
     p_census.add_argument("--store", help="JSONL result store path")
     p_census.add_argument("--jobs", type=int, help="parallel classification workers")

@@ -25,6 +25,7 @@ from typing import Iterator
 from .graphs import (
     P_MAX,
     Graph,
+    _check_int,
     _degree_sorted_bits,
     _normalized_graph,
     canonical_graph,
@@ -32,21 +33,23 @@ from .graphs import (
     is_connected,
 )
 
-FAMILY_NAMES = ("path", "cycle", "star", "complete", "fan", "wheel", "friendship")
+# The least n each named family takes.
+_FAMILY_FLOORS = {"path": 1, "cycle": 3, "star": 2, "complete": 1, "fan": 3, "wheel": 4,
+                  "friendship": 1}
+FAMILY_NAMES = tuple(_FAMILY_FLOORS)
 
 
 @dataclass(frozen=True)
 class SparseSpec:
-    """Parameters of a (p, p-h) run: order p and edge deficiency h >= 0."""
+    """Parameters of a (p, p-h) run: order p >= 1 and edge deficiency 0 <= h <= p."""
 
     p: int
     h: int
 
     def __post_init__(self):
-        if self.h < 0:
-            raise ValueError(f"deficiency h must be nonnegative, got {self.h}")
-        if self.p - self.h < 0:
-            raise ValueError(f"p - h must be nonnegative, got p={self.p}, h={self.h}")
+        _check_int(self.p, "order", 1)
+        _check_int(self.h, "deficiency h", 0)
+        _check_int(self.p - self.h, "p - h", 0)
 
     @property
     def q(self) -> int:
@@ -58,10 +61,10 @@ def triangulations(n: int) -> Iterator[Graph]:
 
     Vertices 0..n-1 run in hull order.  Recursion on the base edge (a, b):
     pick the apex m of the triangle on it, then triangulate both
-    sub-polygons.  Yields Catalan(n-2) graphs, each once.
+    sub-polygons.  Yields Catalan(n-2) graphs, each once.  n must be an
+    int >= 3, checked at the first item.
     """
-    if n < 3:
-        raise ValueError(f"polygon needs at least 3 vertices, got {n}")
+    _check_int(n, "order", 3)
     hull = tuple((i, i + 1) for i in range(n - 1)) + ((0, n - 1),)
 
     def chords(a: int, b: int) -> Iterator[tuple[tuple[int, int], ...]]:
@@ -117,11 +120,10 @@ def generate_mops(p: int, p_max: int = P_MAX) -> list[Graph]:
     """One canonical representative per isomorphism class of order-p MOPs.
 
     Classes are grown by ear insertion from the triangle, and each class is
-    canonicalized once.  Orders over ``p_max`` are refused.  Every output has
-    q = 2p-3.  Sorted by canonical code.
+    canonicalized once.  p must be an int >= 3, and orders over ``p_max``
+    are refused.  Every output has q = 2p-3.  Sorted by canonical code.
     """
-    if p < 3:
-        raise ValueError(f"maximal outerplanar graphs need p >= 3, got {p}")
+    _check_int(p, "order", 3)
     if p > p_max:
         raise ValueError(f"MOP generation capped at p={p_max} (got p={p}); raise the cap")
     reps = [canonical_graph(Graph(p, edges)) for edges in _mop_classes(p)]
@@ -138,10 +140,11 @@ def generate_by_edge_count(p: int, q: int, connected_only: bool = False) -> list
     test, and only the first subset with each key gets a canonical search.
     That one search gives the class's representative, the canonical graph,
     whose graph6 record is the code that classes are deduplicated and sorted
-    by; returns [] when q exceeds C(p, 2).
+    by; returns [] when q exceeds C(p, 2).  p must be an int >= 1 and q
+    an int >= 0.
     """
-    if p < 1 or q < 0:
-        raise ValueError(f"need p >= 1 and q >= 0, got p={p}, q={q}")
+    _check_int(p, "order", 1)
+    _check_int(q, "edge count q", 0)
     all_pairs = list(itertools.combinations(range(p), 2))
     if q > len(all_pairs):
         return []
@@ -169,42 +172,30 @@ def named_family(name: str, n: int) -> Graph:
     """A standard fixture graph.
 
     path/cycle/star/complete/fan/wheel take n = total vertex count;
-    friendship takes n = number of triangles (2n+1 vertices).
+    friendship takes n = number of triangles (2n+1 vertices).  n must be an
+    int no less than the family's entry in ``_FAMILY_FLOORS``.
     """
+    if name not in FAMILY_NAMES:
+        raise ValueError(f"unknown family {name!r}; expected one of {', '.join(FAMILY_NAMES)}")
+    _check_int(n, f"n for {name}", _FAMILY_FLOORS[name])
     if name == "path":
-        if n < 1:
-            raise ValueError("path needs n >= 1")
         return Graph(n, tuple((i, i + 1) for i in range(n - 1)))
     if name == "cycle":
-        if n < 3:
-            raise ValueError("cycle needs n >= 3")
         return Graph(n, tuple((i, (i + 1) % n) for i in range(n)))
     if name == "star":
-        if n < 2:
-            raise ValueError("star needs n >= 2")
         return Graph(n, tuple((0, i) for i in range(1, n)))
     if name == "complete":
-        if n < 1:
-            raise ValueError("complete graph needs n >= 1")
         return Graph(n, tuple(itertools.combinations(range(n), 2)))
     if name == "fan":
-        if n < 3:
-            raise ValueError("fan needs n >= 3")
         spokes = tuple((0, i) for i in range(1, n))
         path = tuple((i, i + 1) for i in range(1, n - 1))
         return Graph(n, spokes + path)
     if name == "wheel":
-        if n < 4:
-            raise ValueError("wheel needs n >= 4")
         spokes = tuple((0, i) for i in range(1, n))
         rim = tuple((i, i + 1) for i in range(1, n - 1)) + ((1, n - 1),)
         return Graph(n, spokes + rim)
-    if name == "friendship":
-        if n < 1:
-            raise ValueError("friendship graph needs n >= 1 triangles")
-        edges = []
-        for t in range(n):
-            a, b = 2 * t + 1, 2 * t + 2
-            edges += [(0, a), (0, b), (a, b)]
-        return Graph(2 * n + 1, tuple(edges))
-    raise ValueError(f"unknown family {name!r}; expected one of {', '.join(FAMILY_NAMES)}")
+    edges = []  # friendship: n triangles sharing vertex 0
+    for t in range(n):
+        a, b = 2 * t + 1, 2 * t + 2
+        edges += [(0, a), (0, b), (a, b)]
+    return Graph(2 * n + 1, tuple(edges))

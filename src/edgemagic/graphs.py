@@ -34,23 +34,28 @@ class Graph6Error(ValueError):
     """Raised for malformed graph6 records."""
 
 
+def _check_int(value, what: str, least: int) -> None:
+    """The package's one integer-argument check: ``value`` an int (not a bool) >= least."""
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an int, got {value!r}")
+    if value < least:
+        raise ValueError(f"{what} must be >= {least}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Graph:
     """An undirected simple graph with vertices 0..p-1.
 
     Edges are normalized on construction: each pair stored as (u, v) with
     u < v, the tuple sorted, duplicates and self-loops rejected.  The order
-    and every vertex must be of type int (not bool).
+    must be an int >= 1 and every vertex an int (neither may be a bool).
     """
 
     p: int
     edges: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
-        if type(self.p) is not int:
-            raise ValueError(f"order must be an int, got {self.p!r}")
-        if self.p < 1:
-            raise ValueError(f"graph needs at least one vertex, got p={self.p}")
+        _check_int(self.p, "order", 1)
         normalized = []
         seen = set()
         for pair in self.edges:

@@ -44,7 +44,7 @@ import json
 from collections import deque
 from dataclasses import dataclass, field
 
-from .graphs import Graph, emit_graph6
+from .graphs import Graph, _check_int, emit_graph6
 
 # Edge-count cap for the no-pruning oracle (q! permutations in the worst case).
 Q_BRUTE = 8
@@ -97,19 +97,14 @@ class VerifyResult:
     violations: list[str] = field(default_factory=list)
 
 
-def _check_base_label(k) -> None:
-    """Raise ``ValueError`` unless k is an int (not a bool) >= 0, as for ``verify_labeling``."""
-    if type(k) is not int:
-        raise ValueError(f"base label k must be an int, got {k!r}")
-    if k < 0:
-        raise ValueError(f"base label k must be nonnegative, got {k}")
-
-
 def label_residues(k: int, q: int, p: int) -> tuple[int, ...]:
-    """Multiplicities, indexed by residue, of [k, k+q-1] mod p: the search alphabet."""
-    _check_base_label(k)
-    if q < 0 or p < 1:
-        raise ValueError(f"need q >= 0 and p >= 1, got q={q}, p={p}")
+    """Multiplicities, indexed by residue, of [k, k+q-1] mod p: the search alphabet.
+
+    k and q must be ints >= 0, and p an int >= 1.
+    """
+    _check_int(k, "base label k", 0)
+    _check_int(q, "edge count q", 0)
+    _check_int(p, "order", 1)
     counts = [q // p] * p
     for i in range(q % p):
         counts[(k + i) % p] += 1
@@ -122,8 +117,9 @@ def counting_filter(g: Graph, k: int) -> bool:
     Summing the constant vertex sum over all p vertices counts every edge
     label twice, so 2*(k + ... + k+q-1) = 2qk + q(q-1) must vanish mod p.
     Returns False only when no labeling can exist; True is inconclusive.
+    k must be an int >= 0.
     """
-    _check_base_label(k)
+    _check_int(k, "base label k", 0)
     q = g.q
     return (2 * q * k + q * (q - 1)) % g.p == 0
 
@@ -364,7 +360,7 @@ def classify(g: Graph) -> KSpectrum:
 def classify_detailed(g: Graph, ks=None) -> dict[int, Witness | str]:
     """Decide k-EM status for each requested residue: a witness, or why not.
 
-    ks defaults to all of 0..p-1; values must be nonnegative ints and are
+    ks defaults to all of 0..p-1; values must be ints >= 0, and are
     reduced mod p.  Returns {k: outcome} in ascending k, where the outcome is
     a witness that g is k-EM or the reason it is not, "counting-filter" or
     "search-exhausted".  Residues whose label residue multisets are equal
@@ -376,9 +372,9 @@ def classify_detailed(g: Graph, ks=None) -> dict[int, Witness | str]:
     and 4-k.  So each outcome depends on g and k mod p alone, not on ks.
     Each witness has passed ``outcome_fault`` (see ``_decide``).
     """
-    ks = range(g.p) if ks is None else sorted(ks)
+    ks = range(g.p) if ks is None else list(ks)
     for k in ks:  # before reducing: True % p is an int
-        _check_base_label(k)
+        _check_int(k, "base label k", 0)
     plan = _search_plan(g)
     searches: dict = {}
     return {k: _decide(g, k, plan, searches) for k in sorted({k % g.p for k in ks})}

@@ -157,7 +157,7 @@ class TestGenerate:
     def test_invalid_environment_cap(self, capsys, monkeypatch):
         monkeypatch.setenv("EDGEMAGIC_P_MAX", "0")
         assert main(["generate", "mop", "--p", "4"]) == 2
-        assert "positive" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: cap p_max must be >= 1, got 0\n"
 
     @pytest.mark.parametrize("name, value", [("EDGEMAGIC_Q_ENUM", "abc"),
                                              ("EDGEMAGIC_Q_BRUTE", "0"),
@@ -268,6 +268,27 @@ class TestCensus:
         assert "--k" in captured.err and repr(value) in captured.err
         assert captured.out == ""
 
+    def test_empty_k_list_named(self, tmp_path, capsys):
+        # An empty --k is a malformed list, not a missing one.
+        source = tmp_path / "graphs.g6"
+        source.write_text(f"{K2_RECORD}\n")
+        assert main(["census", str(source), "--k", ""]) == 2
+        assert capsys.readouterr() == (
+            "", "error: --k must be comma-separated integers, got ''\n")
+
+    def test_negative_k_list(self, tmp_path, capsys):
+        # Every k list that starts with "-" is invalid; argparse reads it as a
+        # flag and exits 2 with its usage text, and "--k=" passes it through
+        # to the census's own check.
+        source = tmp_path / "graphs.g6"
+        source.write_text(f"{K2_RECORD}\n")
+        with pytest.raises(SystemExit) as exited:
+            main(["census", str(source), "--k", "-1,2"])
+        assert exited.value.code == 2
+        assert capsys.readouterr().out == ""
+        assert main(["census", str(source), "--k=-1,2"]) == 2
+        assert capsys.readouterr() == ("", "error: base label k must be >= 0, got -1\n")
+
     def test_non_integer_environment_jobs_named(self, tmp_path, capsys, monkeypatch):
         source = tmp_path / "graphs.g6"
         source.write_text(f"{K2_RECORD}\n")
@@ -281,8 +302,7 @@ class TestCensus:
         source = tmp_path / "graphs.g6"
         source.write_text(f"{K2_RECORD}\n")
         assert main(["census", str(source), "--jobs", "-3"]) == 2
-        captured = capsys.readouterr()
-        assert "jobs must be >= 1" in captured.err and captured.out == ""
+        assert capsys.readouterr() == ("", "error: jobs must be >= 1, got -3\n")
 
     def test_unknown_environment_format_rejected_before_any_work(
         self, tmp_path, capsys, monkeypatch
@@ -319,11 +339,11 @@ class TestConjecture:
     @pytest.mark.parametrize("p", ["3", "4"])
     def test_order_below_five_rejected(self, capsys, p):
         assert main(["conjecture", p]) == 2
-        assert capsys.readouterr().err == f"error: MOP spectrum check starts at p=5, got {p}\n"
+        assert capsys.readouterr().err == f"error: order must be >= 5, got {p}\n"
 
     def test_zero_jobs_rejected(self, capsys):
         assert main(["conjecture", "7", "--jobs", "0"]) == 2
-        assert "jobs must be >= 1" in capsys.readouterr().err
+        assert capsys.readouterr() == ("", "error: jobs must be >= 1, got 0\n")
 
     def test_counterexample_fails(self, capsys, monkeypatch):
         # One order-7 class made to lose k = 2 is printed with its spectrum.

@@ -81,7 +81,7 @@ class TestLabelResidues:
         assert all(c in (q // p, q // p + 1) for c in counts)
 
     def test_negative_k_rejected(self):
-        with pytest.raises(ValueError, match="nonnegative"):
+        with pytest.raises(ValueError, match="^base label k must be >= 0, got -1$"):
             label_residues(-1, 3, 2)
 
 
@@ -149,8 +149,8 @@ class TestBaseLabelRule:
     @pytest.mark.parametrize("entry", sorted(ENTRIES))
     def test_entry_rejects(self, tmp_path, entry, k):
         store_path = tmp_path / "store.jsonl"
-        message = "nonnegative" if k == -1 else re.escape(f"base label k must be an int, got {k!r}")
-        with pytest.raises(ValueError, match=message):
+        rule = "must be >= 0" if k == -1 else "must be an int"
+        with pytest.raises(ValueError, match=re.escape(f"base label k {rule}, got {k!r}")):
             self.ENTRIES[entry](k, census_mod.CensusStore(store_path))
         assert not store_path.exists()
 
@@ -178,7 +178,7 @@ class TestIsKEm:
         assert all(is_k_em(c3, k) is None for k in range(3))
 
     def test_negative_k_rejected(self):
-        with pytest.raises(ValueError, match="nonnegative"):
+        with pytest.raises(ValueError, match="^base label k must be >= 0, got -1$"):
             is_k_em(K2, -1)
 
     def test_edgeless_magic_for_every_k(self):
@@ -246,7 +246,7 @@ class TestClassify:
         assert outcomes == {0: "search-exhausted"}
 
     def test_detailed_negative_k_rejected(self):
-        with pytest.raises(ValueError, match="base label k must be nonnegative, got -2"):
+        with pytest.raises(ValueError, match="^base label k must be >= 0, got -2$"):
             classify_detailed(MOP4, [-2])
 
     @pytest.mark.parametrize("g, bases", [
