@@ -5,11 +5,13 @@ holds), 1 negative result (no witness / conjecture fails), 2 usage or input
 error, a solver witness that fails its check included.  Graph streams read
 standard input when the source argument is "-"; a byte in them that is not
 UTF-8 makes its line an unreadable record.
-Caps and defaults fall back to environment variables EDGEMAGIC_P_MAX,
-EDGEMAGIC_STORE, EDGEMAGIC_FORMAT, and EDGEMAGIC_JOBS when the matching flag
-is not given.  A command that names an order (``generate mop``, ``generate
-sparse``, ``conjecture``) runs at that order; the vertex cap EDGEMAGIC_P_MAX
-guards only canonical search over graphs read from input.
+Each command reads only the settings it uses, when it runs, the flag first
+and else its environment variable: ``census`` reads EDGEMAGIC_FORMAT,
+EDGEMAGIC_STORE, EDGEMAGIC_JOBS and the vertex cap EDGEMAGIC_P_MAX, and
+``conjecture`` reads EDGEMAGIC_JOBS; ``solve``, ``classify`` and
+``generate`` read none.  A command that names an order (``generate mop``,
+``generate sparse``, ``conjecture``) runs at that order; the cap guards only
+canonical search over graphs read from input.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ import io
 import os
 import sys
 from contextlib import nullcontext, suppress
-from dataclasses import dataclass, replace
 
 from .census import _REPORT_FORMATS, CensusStore, check_mop_conjecture, report_emit, run_census
 from .generators import (
@@ -29,7 +30,7 @@ from .generators import (
     generate_sparse_graphs,
     named_family,
 )
-from .graphs import P_MAX, Graph6Error, _check_int, emit_graph6, parse_graph6
+from .graphs import P_MAX, Graph6Error, emit_graph6, parse_graph6
 from .solver import classify, is_k_em, witness_to_json
 
 
@@ -43,29 +44,8 @@ def _env_int(name: str, default: int) -> int:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
-@dataclass
-class CliConfig:
-    """Effective caps and IO defaults (flags first, then environment)."""
-
-    p_max: int = P_MAX
-    store: str | None = None
-    format: str = "csv"
-    jobs: int = 1
-
-    @classmethod
-    def from_env(cls) -> "CliConfig":
-        return cls(
-            p_max=_env_int("EDGEMAGIC_P_MAX", P_MAX),
-            store=os.environ.get("EDGEMAGIC_STORE") or None,
-            format=os.environ.get("EDGEMAGIC_FORMAT") or "csv",
-            jobs=_env_int("EDGEMAGIC_JOBS", 1),
-        )
-
-    def __post_init__(self):
-        _check_int(self.p_max, "cap p_max", 1)
-        _check_int(self.jobs, "jobs", 1)
-        if self.format not in _REPORT_FORMATS:
-            raise ValueError(f"unknown report format {self.format!r}")
+def _jobs(args) -> int:
+    return args.jobs if args.jobs is not None else _env_int("EDGEMAGIC_JOBS", 1)
 
 
 def _open_source(arg: str):
@@ -80,7 +60,7 @@ def _spectrum_text(members) -> str:
     return ";".join(str(k) for k in sorted(members)) or "-"
 
 
-def cmd_solve(args, config: CliConfig) -> int:
+def cmd_solve(args) -> int:
     g = parse_graph6(args.graph6)
     witness = is_k_em(g, args.k)
     if witness is None:
@@ -90,7 +70,7 @@ def cmd_solve(args, config: CliConfig) -> int:
     return 0
 
 
-def cmd_classify(args, config: CliConfig) -> int:
+def cmd_classify(args) -> int:
     failed = False
     with _open_source(args.source) as fh:
         for lineno, line in enumerate(fh, 1):
@@ -108,7 +88,7 @@ def cmd_classify(args, config: CliConfig) -> int:
     return 2 if failed else 0
 
 
-def cmd_generate(args, config: CliConfig) -> int:
+def cmd_generate(args) -> int:
     if args.kind == "mop":
         graphs = generate_mops(args.p, p_max=args.p)
     elif args.kind == "sparse":
@@ -127,13 +107,18 @@ def _k_list(text: str) -> list[int]:
         raise ValueError(f"--k must be comma-separated integers, got {text!r}") from None
 
 
-def cmd_census(args, config: CliConfig) -> int:
+def cmd_census(args) -> int:
+    p_max = _env_int("EDGEMAGIC_P_MAX", P_MAX)
+    jobs = _jobs(args)
+    fmt = args.format or os.environ.get("EDGEMAGIC_FORMAT") or "csv"
+    if fmt not in _REPORT_FORMATS:
+        raise ValueError(f"unknown report format {fmt!r}")
     ks = _k_list(args.k) if args.k is not None else None
     if args.mode == "k-list" and ks is None:
         raise ValueError("k-list mode needs at least one k")
     if args.mode == "spectrum" and ks is not None:
         raise ValueError("spectrum mode decides every k; drop --k or use --mode k-list")
-    store_path = args.store or config.store
+    store_path = args.store or os.environ.get("EDGEMAGIC_STORE")
     store = CensusStore(store_path) if store_path else None
 
     def report_error(lineno, message):
@@ -144,12 +129,11 @@ def cmd_census(args, config: CliConfig) -> int:
             fh,
             ks=ks,
             store=store,
-            jobs=config.jobs,
-            p_max=config.p_max,
+            jobs=jobs,
+            p_max=p_max,
             include_empty=args.include_empty,
             on_error=report_error,
         )
-    fmt = args.format or config.format
     if args.out and args.out != "-":
         report_emit(rows, fmt, args.out)
     else:
@@ -157,8 +141,8 @@ def cmd_census(args, config: CliConfig) -> int:
     return 0
 
 
-def cmd_conjecture(args, config: CliConfig) -> int:
-    verdict = check_mop_conjecture(args.p, jobs=config.jobs)
+def cmd_conjecture(args) -> int:
+    verdict = check_mop_conjecture(args.p, jobs=_jobs(args))
     if verdict.holds:
         print(f"HOLDS: all {verdict.checked} maximal outerplanar graphs of order "
               f"{verdict.p} have spectrum {{{_spectrum_text(verdict.filter_admits)}}}")
@@ -223,10 +207,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = CliConfig.from_env()
-        if getattr(args, "jobs", None) is not None:  # passes the same checks as the variable
-            config = replace(config, jobs=args.jobs)
-        return args.func(args, config)
+        return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

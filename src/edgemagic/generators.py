@@ -120,10 +120,12 @@ def generate_mops(p: int, p_max: int = P_MAX) -> list[Graph]:
     """One canonical representative per isomorphism class of order-p MOPs.
 
     Classes are grown by ear insertion from the triangle, and each class is
-    canonicalized once.  p must be an int >= 3, and orders over ``p_max``
-    are refused.  Every output has q = 2p-3.  Sorted by canonical code.
+    canonicalized once.  p and the cap ``p_max`` must be ints >= 3, and
+    orders over ``p_max`` are refused.  Every output has q = 2p-3.  Sorted by
+    canonical code.
     """
     _check_int(p, "order", 3)
+    _check_int(p_max, "cap p_max", 3)
     if p > p_max:
         raise ValueError(f"MOP generation capped at p={p_max} (got p={p}); raise the cap")
     reps = [canonical_graph(Graph(p, edges)) for edges in _mop_classes(p)]

@@ -61,8 +61,6 @@ class Labeling:
     assignment: dict[tuple[int, int], int]
 
     def __post_init__(self):
-        if self.k < 0:
-            raise ValueError(f"base label k must be nonnegative, got {self.k}")
         normalized = {}
         for edge, label in self.assignment.items():
             u, v = edge
@@ -380,9 +378,10 @@ def classify_detailed(g: Graph, ks=None) -> dict[int, Witness | str]:
     return {k: _decide(g, k, plan, searches) for k in sorted({k % g.p for k in ks})}
 
 
-def brute_force_is_k_em(g: Graph, k: int, q_cap: int = Q_BRUTE) -> Witness | None:
+def brute_force_is_k_em(g: Graph, k: int) -> Witness | None:
     """Independent oracle: try every distinct residue permutation, no pruning.
 
+    g may have at most ``Q_BRUTE`` edges, the cap as read at call time.
     Permutations are tried in lexicographic order of their residue tuples
     over g.edges, so the witness is the first such tuple that is magic.  The
     next-permutation walk (Knuth, TAOCP 7.2.1.2, Algorithm L) produces them
@@ -390,8 +389,8 @@ def brute_force_is_k_em(g: Graph, k: int, q_cap: int = Q_BRUTE) -> Witness | Non
     step swaps residues within a suffix, and only the vertex sums at the ends
     of edges whose residue changed are updated.
     """
-    if g.q > q_cap:
-        raise ValueError(f"brute force capped at q={q_cap} (got q={g.q})")
+    if g.q > Q_BRUTE:
+        raise ValueError(f"brute force capped at q={Q_BRUTE} (got q={g.q})")
     p, edges = g.p, g.edges
     counts = label_residues(k, g.q, p)
     perm = [r for r in range(p) for _ in range(counts[r])]  # the least permutation
@@ -429,22 +428,24 @@ def brute_force_is_k_em(g: Graph, k: int, q_cap: int = Q_BRUTE) -> Witness | Non
 def verify_labeling(g: Graph, labeling: Labeling) -> VerifyResult:
     """Check a labeling independently of any search: bijection + constant sums.
 
-    The base label, every label and every edge endpoint must be an ``int``
-    (not a bool, nor a float even of integral value); a labeling that breaks
-    this is invalid.  An edge absent from g raises ``ValueError``.
+    The one judge of a labeling: it never raises, and reports each fault it
+    finds as a violation.  The base label must be a nonnegative ``int``, and
+    every label and edge endpoint an ``int`` (not a bool, nor a float even
+    of integral value); every labeled edge must be an edge of g.
     """
     q = g.q
     k = labeling.k
-    violations = [] if type(k) is int else [f"base label k={k!r} is not an integer"]
+    violations = []
+    if type(k) is not int or k < 0:
+        violations.append(f"base label k={k!r} is not a nonnegative integer")
+    edge_set = set(g.edges)
     for edge, label in labeling.assignment.items():
         if any(type(value) is not int for value in (*edge, label)):
             violations.append(f"edge {edge} labeled {label!r}: not all integers")
+        elif tuple(edge) not in edge_set:
+            violations.append(f"labeling references edge {edge} absent from the graph")
     if violations:
         return VerifyResult(False, None, violations)
-    edge_set = set(g.edges)
-    for edge in labeling.assignment:
-        if tuple(edge) not in edge_set:
-            raise ValueError(f"labeling references edge {edge} absent from the graph")
 
     missing = [e for e in g.edges if e not in labeling.assignment]
     if missing:
@@ -477,8 +478,10 @@ def outcome_fault(g: Graph, k: int, outcome: Witness | str) -> str | None:
     """Why ``outcome`` does not settle residue k (0..p-1) of g, or None.
 
     The one rule for accepting a decided residue, fresh or stored.  A witness
-    settles k when ``verify_labeling`` accepts its labeling, for base label
-    k mod p, with the vertex sums it claims as c.  A reason settles k only if
+    settles k when the c it claims is an int, ``verify_labeling`` (the one
+    judge of a labeling, its base label included) accepts its labeling, that
+    base label is k mod p, and the vertex sums are c; the first of these to
+    fail is the fault.  A reason settles k only if
     ``_decide`` gives it without a search: "counting-filter" where the
     counting filter rejects k, else "search-exhausted", which is trusted with
     no search, so a false one hides a member.  Any other value is a fault.
@@ -488,14 +491,11 @@ def outcome_fault(g: Graph, k: int, outcome: Witness | str) -> str | None:
         return None if outcome == implied else f"reason {outcome!r}, expected {implied!r}"
     if type(outcome.c) is not int:
         return f"witness claims c={outcome.c!r}, not an integer"
-    if outcome.labeling.k % g.p != k:
-        return f"witness is for k={outcome.labeling.k}"
-    try:
-        result = verify_labeling(g, outcome.labeling)
-    except ValueError as exc:  # a stored witness may label an edge g lacks
-        return str(exc)
+    result = verify_labeling(g, outcome.labeling)
     if not result.valid:
         return "; ".join(result.violations)
+    if outcome.labeling.k % g.p != k:
+        return f"witness is for k={outcome.labeling.k}"
     if result.c != outcome.c:
         return f"vertex sums are {result.c} mod {g.p}, witness claims {outcome.c}"
     return None

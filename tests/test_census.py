@@ -340,15 +340,19 @@ class TestStore:
     # Edits to the first [u, v, label] entry, [0, 1, 5], of the order-5 MOP's
     # k = 2 witness: a label outside the interval, edge (0, 1) renamed to the
     # absent (1, 3), a label that is not a number, and the label as a float;
-    # or to the witness's c = 1, as a float.  Each with the fault it logs.
+    # or to the witness's c = 1, as a float, or its k = 2, made negative.
+    # Each with the fault it logs.
     @pytest.mark.parametrize("edit, fault", [
         ({2: 99}, "labels are not a bijection onto [2, 8]: [2, 3, 4, 6, 7, 8, 99]"),
         ({0: 1, 1: 3}, "labeling references edge (1, 3) absent from the graph"),
         ({2: "x"}, "edge (0, 1) labeled 'x': not all integers"),
         ({2: 5.0}, "edge (0, 1) labeled 5.0: not all integers"),
         ({"c": 1.0}, "witness claims c=1.0, not an integer"),
-    ], ids=["label-99", "absent-edge", "label-string", "label-float", "c-float"])
-    def test_stored_witness_that_fails_is_redecided(self, tmp_path, caplog, edit, fault):
+        ({"k": -1}, "base label k=-1 is not a nonnegative integer"),
+    ], ids=["label-99", "absent-edge", "label-string", "label-float", "c-float", "k-negative"])
+    def test_stored_witness_that_fails_is_redecided(
+        self, tmp_path, monkeypatch, caplog, edit, fault
+    ):
         lines = [emit_graph6(g) for g in generate_mops(5)]
         store_path = tmp_path / "store.jsonl"
         fresh = run_census(lines, store=CensusStore(store_path))
@@ -357,10 +361,19 @@ class TestStore:
         entry = witness["labels"][0]
         assert entry == [0, 1, 5] and witness["c"] == 1
         for position, value in edit.items():
-            (witness if position == "c" else entry)[position] = value
+            (witness if position in ("c", "k") else entry)[position] = value
         store_path.write_text(json.dumps(payload, separators=(",", ":")) + "\n")
 
+        seen = []
+        real = census_mod.classify_detailed
+
+        def recording(g, ks=None):
+            seen.append(tuple(ks))
+            return real(g, ks)
+
+        monkeypatch.setattr(census_mod, "classify_detailed", recording)
         rows = run_census(lines, store=CensusStore(store_path))
+        assert seen == [(2,)]  # the rest of the stored row still stands
         assert rows == fresh
         g = parse_graph6(rows[0].code)
         assert verify_labeling(g, rows[0].witnesses[2].labeling).valid

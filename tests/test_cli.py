@@ -154,10 +154,15 @@ class TestGenerate:
         records = capsys.readouterr().out.splitlines()
         assert records == [emit_graph6(g) for g in generate_mops(11, p_max=11)]
 
-    def test_invalid_environment_cap(self, capsys, monkeypatch):
+    def test_invalid_environment_cap(self, tmp_path, capsys, monkeypatch):
+        # Only census reads the cap; generate runs at the order it names.
         monkeypatch.setenv("EDGEMAGIC_P_MAX", "0")
-        assert main(["generate", "mop", "--p", "4"]) == 2
-        assert capsys.readouterr().err == "error: cap p_max must be >= 1, got 0\n"
+        assert main(["generate", "mop", "--p", "4"]) == 0
+        assert capsys.readouterr().out == f"{MOP4_RECORD}\n"
+        source = tmp_path / "mop4.g6"
+        source.write_text(f"{MOP4_RECORD}\n")
+        assert main(["census", str(source)]) == 2
+        assert capsys.readouterr() == ("", "error: cap p_max must be >= 1, got 0\n")
 
     @pytest.mark.parametrize("name, value", [("EDGEMAGIC_Q_ENUM", "abc"),
                                              ("EDGEMAGIC_Q_BRUTE", "0"),
@@ -469,6 +474,56 @@ class TestReadme:
         assert shown == 5
 
 
+class TestConfiguration:
+    # README's Configuration table is the contract: its "Read by" column
+    # names the commands that read each variable, and no other command does.
+    INVALID = {
+        "EDGEMAGIC_P_MAX": ("0", "cap p_max must be >= 1, got 0"),
+        "EDGEMAGIC_JOBS": ("abc", "EDGEMAGIC_JOBS must be an integer, got 'abc'"),
+        "EDGEMAGIC_FORMAT": ("xml", "unknown report format 'xml'"),
+    }
+    COMMANDS = {
+        "solve": ["solve", "C|", "--k", "2"],
+        "classify": ["classify", "{source}"],
+        "generate-mop": ["generate", "mop", "--p", "5"],
+        "generate-sparse": ["generate", "sparse", "--p", "4", "--h", "1"],
+        "generate-family": ["generate", "family", "wheel", "5"],
+        "conjecture": ["conjecture", "5"],
+        "census": ["census", "{source}", "--store", "{store}"],
+    }
+
+    @staticmethod
+    def readers():
+        """{variable: the commands its "Read by" cell names}."""
+        section = README.read_text().split("## Configuration", 1)[1].split("\n## ", 1)[0]
+        rows = re.findall(r"^\| `(EDGEMAGIC_[A-Z_]+)` \| ([^|]*) \|", section, re.MULTILINE)
+        return {name: set(re.findall(r"`(\w+)`", cell)) for name, cell in rows}
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    @pytest.mark.parametrize("variable", sorted(INVALID))
+    def test_invalid_value_stops_only_its_readers(
+        self, tmp_path, capsys, monkeypatch, variable, command
+    ):
+        source = tmp_path / "graphs.g6"
+        source.write_text(f"{C4_RECORD}\n{MOP4_RECORD}\n")
+        store = tmp_path / "store.jsonl"
+        argv = [word.format(source=source, store=store) for word in self.COMMANDS[command]]
+        readers = self.readers()
+        for name in readers:
+            monkeypatch.delenv(name, raising=False)
+        assert main(argv) == 0
+        unset = capsys.readouterr().out
+        store.unlink(missing_ok=True)
+        value, message = self.INVALID[variable]
+        monkeypatch.setenv(variable, value)
+        status = main(argv)
+        if argv[0] in readers[variable]:
+            assert (status, capsys.readouterr()) == (2, ("", f"error: {message}\n"))
+            assert not store.exists()
+        else:
+            assert (status, capsys.readouterr().out) == (0, unset)
+
+
 class TestPublicSurface:
     # Public functions that only tests call, each kept as a reference.
     TEST_REFERENCES = {
@@ -539,6 +594,21 @@ class TestPublicSurface:
         sites, _ = self.package_uses("outcome_fault", "verify_labeling")
         assert sites["outcome_fault"] == {("solver", "_decide"), ("census", "_stored_outcomes")}
         assert sites["verify_labeling"] == {("solver", "outcome_fault")}
+
+    def test_only_the_cli_reads_the_environment(self):
+        # A library caller always gets the documented defaults: no module but
+        # cli mentions os.environ or os.getenv.
+        package = Path(__file__).resolve().parents[1] / "src" / "edgemagic"
+        names = {"environ", "getenv"}
+        readers = set()
+        for path in package.glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if (isinstance(node, ast.Attribute) and node.attr in names
+                        and getattr(node.value, "id", None) == "os"
+                        or isinstance(node, ast.ImportFrom) and node.module == "os"
+                        and names & {alias.name for alias in node.names}):
+                    readers.add(path.stem)
+        assert readers == {"cli"}
 
     def test_one_search_mode(self):
         # The engine needs one solution per (k, c) search, so the search has

@@ -14,7 +14,6 @@ import pytest
 
 from edgemagic import Graph
 from edgemagic.census import check_mop_conjecture, run_census
-from edgemagic.cli import CliConfig
 from edgemagic.generators import (
     FAMILY_NAMES,
     SparseSpec,
@@ -36,6 +35,7 @@ ARGUMENTS = {
     "Graph-p": (Graph, "order", 1),
     "triangulations-n": (lambda n: list(triangulations(n)), "order", 3),
     "generate_mops-p": (generate_mops, "order", 3),
+    "generate_mops-p_max": (lambda p_max: generate_mops(3, p_max=p_max), "cap p_max", 3),
     "generate_by_edge_count-p": (lambda p: generate_by_edge_count(p, 0), "order", 1),
     "generate_by_edge_count-q": (lambda q: generate_by_edge_count(3, q), "edge count q", 0),
     "SparseSpec-p": (lambda p: SparseSpec(p, 0), "order", 1),
@@ -52,8 +52,6 @@ ARGUMENTS = {
     "run_census-p_max": (lambda p_max: run_census(["A_"], p_max=p_max), "cap p_max", 1),
     "check_mop_conjecture-p": (check_mop_conjecture, "order", 5),
     "check_mop_conjecture-jobs": (lambda jobs: check_mop_conjecture(5, jobs=jobs), "jobs", 1),
-    "CliConfig-p_max": (lambda p_max: CliConfig(p_max=p_max), "cap p_max", 1),
-    "CliConfig-jobs": (lambda jobs: CliConfig(jobs=jobs), "jobs", 1),
 }
 
 BAD = {

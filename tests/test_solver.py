@@ -130,7 +130,7 @@ class TestCountingFilter:
                 continue
             for k in range(g.p):
                 if not counting_filter(g, k):
-                    assert brute_force_is_k_em(g, k, q_cap=7) is None
+                    assert brute_force_is_k_em(g, k) is None
 
 
 class TestBaseLabelRule:
@@ -397,8 +397,17 @@ class TestVerifyLabeling:
         assert any("unlabeled" in v for v in result.violations)
 
     def test_unknown_edge_raises(self):
-        with pytest.raises(ValueError, match="absent"):
-            verify_labeling(K2, Labeling(0, {(0, 1): 0, (1, 2): 1}))
+        # An edge g lacks is a violation, as every other fault is; nothing raises.
+        result = verify_labeling(K2, Labeling(0, {(0, 1): 0, (1, 2): 1}))
+        assert not result.valid and result.c is None
+        assert result.violations == ["labeling references edge (1, 2) absent from the graph"]
+
+    @pytest.mark.parametrize("k", ["x", True, -1], ids=["string", "bool", "negative"])
+    def test_base_label_not_a_nonnegative_int_is_invalid(self, k):
+        # Labeling builds with any k; verify_labeling alone judges it.
+        result = verify_labeling(Graph(2), Labeling(k, {}))
+        assert not result.valid and result.c is None
+        assert result.violations == [f"base label k={k!r} is not a nonnegative integer"]
 
     # One value of a valid witness retyped.  Floats and bools keep its numeric
     # value, and the labeling must still be invalid.
@@ -527,12 +536,13 @@ class TestBruteForce:
         w = brute_force_is_k_em(K2, 3)
         assert w is not None and verify_labeling(K2, w.labeling).valid
 
-    def test_cap(self):
+    def test_cap(self, monkeypatch):
         big = named_family("complete", 5)  # q = 10
         with pytest.raises(ValueError, match="capped"):
             brute_force_is_k_em(big, 0)
         # raising the cap works and still agrees with the solver (K5 is 0-EM)
-        w = brute_force_is_k_em(big, 0, q_cap=10)
+        monkeypatch.setattr(solver_mod, "Q_BRUTE", 10)
+        w = brute_force_is_k_em(big, 0)
         assert w is not None and verify_labeling(big, w.labeling).valid
         assert is_k_em(big, 0) is not None
 
