@@ -43,6 +43,7 @@ from .graphs import (
     Graph6Error,
     _check_int,
     _degree_sorted_bits,
+    _pair_masks,
     canonical_graph,
     emit_graph6,
     parse_graph6,
@@ -305,6 +306,8 @@ def run_census(
     # means an isomorphic graph with equal p and q, whose class the earlier
     # record, past the same edgeless and cap checks, put in rows or pending.
     keys: set[tuple[int, int]] = set()
+    # Per order keyed in this run, its table of pair bits for the key.
+    masks: dict[int, list[list[int]]] = {}
 
     for lineno, line in enumerate(source, 1):
         record = line.strip()
@@ -324,7 +327,9 @@ def run_census(
             key = emit_graph6(g)
             rows.setdefault(key, CensusRow(key, g.p, g.q, status="skipped"))
             continue
-        key = (g.p, _degree_sorted_bits(g))
+        if g.p not in masks:
+            masks[g.p] = _pair_masks(g.p)
+        key = (g.p, _degree_sorted_bits(g.p, g.edges, masks[g.p]))
         if key in keys:
             continue
         keys.add(key)

@@ -11,6 +11,8 @@ completeness oracle for the tests.  Sparse (p, p-h)-graphs come from
 edge-subset enumeration over the complete graph, with one canonical search
 per degree-sorted labelled subset: subsets whose relabellings by
 nonincreasing degree agree are isomorphic, so only the first is searched.
+Each subset is keyed straight from its edge tuple and becomes a ``Graph``
+only when its key is new.
 Both generators run at the order they are given; subset enumeration visits
 all C(C(p, 2), q) subsets, so its cost, not a cap, bounds p.  Named families
 supply standard fixtures.
@@ -28,6 +30,7 @@ from .graphs import (
     _check_int,
     _degree_sorted_bits,
     _normalized_graph,
+    _pair_masks,
     canonical_graph,
     emit_graph6,
     is_connected,
@@ -136,10 +139,12 @@ def generate_by_edge_count(p: int, q: int, connected_only: bool = False) -> list
     """One canonical representative per isomorphism class with p vertices, q edges.
 
     Enumerates all C(C(p, 2), q) q-subsets of the complete graph's edges,
-    whatever p (at p = 8, q = 8 that is 3,108,105), and keys each by its
-    degree-sorted relabelling (``_degree_sorted_bits``).  Equal keys mean
-    isomorphic graphs, so a repeated key is skipped before the connectivity
-    test, and only the first subset with each key gets a canonical search.
+    whatever p (at p = 8, q = 8 that is 3,108,105), and keys each edge tuple
+    by its degree-sorted relabelling (``_degree_sorted_bits``, with one table
+    of pair bits for the call).  Equal keys mean isomorphic graphs, so a
+    repeated key is skipped before any ``Graph`` is built; a subset becomes a
+    ``Graph`` only when its key is new, and then gets the connectivity test
+    and a canonical search.
     That one search gives the class's representative, the canonical graph,
     whose graph6 record is the code that classes are deduplicated and sorted
     by; returns [] when q exceeds C(p, 2).  p must be an int >= 1 and q
@@ -150,14 +155,15 @@ def generate_by_edge_count(p: int, q: int, connected_only: bool = False) -> list
     all_pairs = list(itertools.combinations(range(p), 2))
     if q > len(all_pairs):
         return []
+    masks = _pair_masks(p)
     by_code: dict[str, Graph] = {}
     keys: set[int] = set()  # degree-sorted keys of the subsets so far
     for subset in itertools.combinations(all_pairs, q):
-        g = _normalized_graph(p, subset)  # sorted pairs, in sorted order
-        key = _degree_sorted_bits(g)
+        key = _degree_sorted_bits(p, subset, masks)
         if key in keys:
             continue
         keys.add(key)
+        g = _normalized_graph(p, subset)  # sorted pairs, in sorted order
         if connected_only and not is_connected(g):
             continue
         rep = canonical_graph(g)

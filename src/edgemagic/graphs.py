@@ -13,7 +13,10 @@ tries one vertex of each twin class, but its worst case still grows
 factorially; it takes any order, and only a census of graphs read from input
 caps it (``P_MAX``).  Decoded and canonical graphs come out of the bits
 already normalized, so they are built without checking or sorting their
-edges again.
+edges again.  The degree-sorted key that spares most searches,
+``_degree_sorted_bits``, is read straight off an order and an edge list
+through a per-order table of pair bits (``_pair_masks``), so a labelled
+edge set is keyed before, and often instead of, becoming a ``Graph``.
 """
 
 from __future__ import annotations
@@ -176,19 +179,40 @@ def _bits(p: int, edges) -> int:
     return bits
 
 
-def _degree_sorted_bits(g: Graph) -> int:
-    """Upper-triangle bits of g relabelled by nonincreasing degree, ties kept in order.
+def _pair_masks(p: int) -> list[list[int]]:
+    """Order p's upper-triangle bits by pair: ``masks[i][j]`` is {i, j}'s bit, either way round.
 
-    The result is a relabelling of g, so graphs with equal bits and p are
-    isomorphic: a cheap key under which relabelled copies often meet.
+    Its entries are C(p, 2)-bit ints, so a caller builds it once per order it
+    keys and drops it when done, rather than keeping one for every order.
     """
-    p = g.p
-    degrees = g.degrees()
+    top = p * (p - 1) // 2 - 1
+    masks = [[0] * p for _ in range(p)]
+    for v in range(1, p):
+        for u in range(v):
+            masks[u][v] = masks[v][u] = 1 << (top - v * (v - 1) // 2 - u)
+    return masks
+
+
+def _degree_sorted_bits(p: int, edges, masks: list[list[int]]) -> int:
+    """Upper-triangle bits of (p, edges) relabelled by nonincreasing degree, ties kept in order.
+
+    ``edges`` are distinct pairs, each in either order, and ``masks`` is
+    ``_pair_masks(p)``.  The result is a relabelling of the graph, so graphs
+    with equal bits and p are isomorphic: a cheap key under which relabelled
+    copies often meet, read straight off the edges without building a Graph.
+    """
+    degrees = [0] * p
+    for u, v in edges:
+        degrees[u] += 1
+        degrees[v] += 1
     rank = [0] * p
     # a reverse sort keeps equal keys in their original order
     for i, v in enumerate(sorted(range(p), key=degrees.__getitem__, reverse=True)):
         rank[v] = i
-    return _bits(p, [(rank[u], rank[v]) for u, v in g.edges])
+    bits = 0
+    for u, v in edges:
+        bits |= masks[rank[u]][rank[v]]
+    return bits
 
 
 def emit_graph6(g: Graph) -> str:

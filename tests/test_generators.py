@@ -155,12 +155,14 @@ SPARSE_CASES += [(7, q) for q in range(8)]
 
 @pytest.fixture(scope="module")
 def sparse_runs():
-    """(p, q, connected_only) -> (generate_by_edge_count output, the graphs it
-    passed to each of canonical_graph and is_connected), over
-    SPARSE_CASES and both flag values.  Built once for the tests that read it."""
+    """(p, q, connected_only) -> (generate_by_edge_count output, the first
+    arguments it passed to each of canonical_graph, is_connected and
+    _normalized_graph), over SPARSE_CASES and both flag values.  Built once
+    for the tests that read it."""
     runs = {}
     with pytest.MonkeyPatch.context() as mp:
-        calls = record_calls(mp, generators, ("canonical_graph", "is_connected"))
+        calls = record_calls(
+            mp, generators, ("canonical_graph", "is_connected", "_normalized_graph"))
         for connected_only in (False, True):
             for p, q in SPARSE_CASES:
                 graphs = generate_by_edge_count(p, q, connected_only)
@@ -256,10 +258,13 @@ class TestGenerateSparse:
     def test_one_search_per_degree_sorted_subset(self, sparse_runs, q, searches, classes):
         # Subsets of K7 whose degree-sorted relabellings agree share one
         # canonical search; searching every subset took 116,280, 54,264 and
-        # 20,349 searches.
+        # 20,349 searches.  Subsets are keyed from their edge tuples, so only
+        # those with a new key become a Graph: building one per subset took
+        # as many builds as that.
         graphs, calls = sparse_runs[7, q, False]
         assert len(graphs) == classes
         assert len(calls["canonical_graph"]) == searches
+        assert len(calls["_normalized_graph"]) == searches
         assert len({degree_sorted_record(g) for g in calls["canonical_graph"]}) == searches
         assert calls["is_connected"] == []
         # A repeated key is skipped before the connectivity test.

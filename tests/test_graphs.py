@@ -23,7 +23,7 @@ import edgemagic.graphs as graphs_mod
 from edgemagic.graphs import is_connected
 
 from conftest import graph_strategy as graphs
-from conftest import random_graph, random_permutation, to_networkx
+from conftest import degree_sorted_record, random_graph, random_permutation, to_networkx
 
 MOP4_EDGES = [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)]
 
@@ -194,6 +194,28 @@ class TestDegreeSequence:
     @given(graphs())
     def test_sums_to_twice_edge_count(self, g):
         assert sum(g.degrees()) == 2 * g.q
+
+
+class TestDegreeSortedKey:
+    # The key is read off (p, edges) through a per-order table; decoded, it
+    # must be the record of the stable nonincreasing-degree relabelling that
+    # conftest.degree_sorted_record builds through relabel.
+    @staticmethod
+    def key_record(p, edges):
+        key = graphs_mod._degree_sorted_bits(p, edges, graphs_mod._pair_masks(p))
+        return emit_graph6(graphs_mod._graph_from_bits(p, key))
+
+    @given(graphs(max_p=9))
+    @settings(max_examples=300)
+    def test_key_is_the_degree_sorted_relabelling(self, g):
+        assert self.key_record(g.p, g.edges) == degree_sorted_record(g)
+        flipped = tuple((v, u) for u, v in reversed(g.edges))
+        assert self.key_record(g.p, flipped) == degree_sorted_record(g)
+
+    @pytest.mark.parametrize("p", range(1, 10))
+    def test_edgeless(self, p):
+        assert graphs_mod._degree_sorted_bits(p, (), graphs_mod._pair_masks(p)) == 0
+        assert self.key_record(p, ()) == degree_sorted_record(Graph(p)) == emit_graph6(Graph(p))
 
 
 class TestCanonicalForm:
