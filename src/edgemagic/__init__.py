@@ -8,7 +8,6 @@ from .graphs import (
     canonical_graph,
     emit_graph6,
     parse_graph6,
-    relabel,
 )
 from .solver import (
     Q_BRUTE,

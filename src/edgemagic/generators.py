@@ -147,13 +147,14 @@ def generate_by_edge_count(p: int, q: int, connected_only: bool = False) -> list
     and a canonical search.
     That one search gives the class's representative, the canonical graph,
     whose graph6 record is the code that classes are deduplicated and sorted
-    by; returns [] when q exceeds C(p, 2).  p must be an int >= 1 and q
-    an int >= 0.
+    by.  Returns [] at once when q exceeds C(p, 2), or when ``connected_only``
+    and q < p - 1, since no connected graph has fewer edges.  p must be an
+    int >= 1 and q an int >= 0.
     """
     _check_int(p, "order", 1)
     _check_int(q, "edge count q", 0)
     all_pairs = list(itertools.combinations(range(p), 2))
-    if q > len(all_pairs):
+    if q > len(all_pairs) or connected_only and q < p - 1:
         return []
     masks = _pair_masks(p)
     by_code: dict[str, Graph] = {}

@@ -11,9 +11,12 @@ and the canonical code is that graph's graph6 record, so one search gives
 both.  The search stops any branch whose columns exceed the best found and
 tries one vertex of each twin class, but its worst case still grows
 factorially; it takes any order, and only a census of graphs read from input
-caps it (``P_MAX``).  Decoded and canonical graphs come out of the bits
-already normalized, so they are built without checking or sorting their
-edges again.  The degree-sorted key that spares most searches,
+caps it (``P_MAX``).  Decoded and canonical graphs are built from their bits
+through two tables made at import: ``_FLAGS`` spells the bits out, and each
+set bit selects a vertex pair from ``_PAIRS``, which covers every order with
+a one-character graph6 length prefix (n <= 62; a larger order generates its
+pairs).  Their edges come out normalized, so they skip the checked
+constructor.  The degree-sorted key that spares most searches,
 ``_degree_sorted_bits``, is read straight off an order and an edge list
 through a per-order table of pair bits (``_pair_masks``), so a labelled
 edge set is keyed before, and often instead of, becoming a ``Graph``.
@@ -22,6 +25,7 @@ edge set is keyed before, and often instead of, becoming a ``Graph``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 
 # Default vertex cap of a census on graphs read from input: larger ones are
 # not canonicalized (the search's worst case grows factorially).
@@ -30,6 +34,7 @@ P_MAX = 10
 # graph6 uses printable ASCII 63..126, six data bits per character.
 _G6_MIN = 63
 _G6_MAX = 126
+_G6_CHARS = "".join(map(chr, range(_G6_MIN, _G6_MAX + 1)))
 _GRAPH6_HEADER = ">>graph6<<"
 
 
@@ -62,7 +67,10 @@ class Graph:
         normalized = []
         seen = set()
         for pair in self.edges:
-            u, v = pair
+            try:
+                u, v = pair
+            except (TypeError, ValueError):
+                raise ValueError(f"edge {pair!r} is not a pair of vertices") from None
             if type(u) is not int or type(v) is not int:
                 raise ValueError(f"edge ({u!r}, {v!r}) has a vertex that is not an int")
             if u == v:
@@ -109,17 +117,6 @@ def _normalized_graph(p: int, edges: tuple[tuple[int, int], ...]) -> Graph:
     return g
 
 
-def relabel(g: Graph, perm) -> Graph:
-    """Apply a vertex permutation: vertex v of g becomes perm[v]."""
-    perm = list(perm)
-    for v in perm:
-        if type(v) is not int:
-            raise ValueError(f"permutation entry {v!r} is not an int")
-    if sorted(perm) != list(range(g.p)):
-        raise ValueError(f"not a permutation of 0..{g.p - 1}: {perm}")
-    return Graph(g.p, tuple((perm[u], perm[v]) for u, v in g.edges))
-
-
 def is_connected(g: Graph) -> bool:
     """True when every vertex is reachable from vertex 0."""
     masks = g.adjacency_masks()
@@ -142,9 +139,26 @@ def is_connected(g: Graph) -> bool:
 # one character (n + 63) for n <= 62, or '~' followed by three characters
 # holding n as 18 bits for 63 <= n <= 258047.
 #
-# Both directions go through one integer holding that bit string, x01 as its
-# most significant bit: column v is the v bits x0v..x(v-1)v.
+# Encoding goes through one integer holding that bit string, x01 as its most
+# significant bit: column v is the v bits x0v..x(v-1)v.  Decoding spells the
+# bits out as bytes 0 and 1, through one translation table (a record's body
+# character by character, or an integer's binary digits), and keeps the
+# vertex pairs whose byte is 1.  Those pairs, in graph6 bit order, are a
+# prefix of one tuple for every order with a one-character prefix (n <= 62);
+# a larger order generates its pairs as it goes, so no table grows with the
+# orders decoded.
 # ---------------------------------------------------------------------------
+
+# Each graph6 character -> its six bits, and each binary digit -> its bit,
+# written as chr(0) and chr(1) so that the encoded string selects pairs.
+_FLAGS = str.maketrans({
+    **{ch: "".join(chr(int(b)) for b in f"{value:06b}") for value, ch in enumerate(_G6_CHARS)},
+    "0": "\x00",
+    "1": "\x01",
+})
+# The pairs of order 62 in graph6 bit order (x01, x02, x12, x03, ...), 1,891
+# of them; order n <= 62 takes the first n(n-1)/2.
+_PAIRS = tuple((u, v) for v in range(1, 62) for u in range(v))
 
 
 def _encode_n(n: int) -> bytes:
@@ -155,17 +169,19 @@ def _encode_n(n: int) -> bytes:
     raise Graph6Error(f"vertex count {n} too large for this encoder")
 
 
+def _graph_from_flags(n: int, flags: bytes) -> Graph:
+    """The n-vertex graph whose upper-triangle bits, in graph6 order, are ``flags``.
+
+    ``flags`` holds bytes 0 and 1, and any past the first n(n-1)/2 are 0.
+    Edges come out sorted by (u, v).
+    """
+    pairs = _PAIRS if n <= 62 else ((u, v) for v in range(1, n) for u in range(v))
+    return _normalized_graph(n, tuple(sorted(compress(pairs, flags))))
+
+
 def _graph_from_bits(n: int, bits: int) -> Graph:
     """The n-vertex graph whose upper-triangle bits are ``bits``, edges sorted by (u, v)."""
-    edges = []
-    for v in range(n - 1, 0, -1):  # the last column holds the low bits
-        col = bits & ((1 << v) - 1)
-        bits >>= v
-        while col:
-            low = col & -col
-            edges.append((v - low.bit_length(), v))  # bit t of column v is x(v-1-t)v
-            col ^= low
-    return _normalized_graph(n, tuple(sorted(edges)))
+    return _graph_from_flags(n, format(bits, f"0{n * (n - 1) // 2}b").translate(_FLAGS).encode())
 
 
 def _bits(p: int, edges) -> int:
@@ -230,23 +246,23 @@ def parse_graph6(text: str) -> Graph:
     text = text.removeprefix(_GRAPH6_HEADER).rstrip("\n")
     if not text:
         raise Graph6Error("empty graph6 record")
-    values = [ord(ch) - _G6_MIN for ch in text]
-    if min(values) < 0 or max(values) > _G6_MAX - _G6_MIN:
-        ch = next(ch for ch in text if not _G6_MIN <= ord(ch) <= _G6_MAX)
-        raise Graph6Error(f"character {ch!r} out of graph6 range 63..126")
+    bad = text.lstrip(_G6_CHARS)  # from the first character out of range
+    if bad:
+        raise Graph6Error(f"character {bad[0]!r} out of graph6 range 63..126")
 
-    if values[0] < 63:
-        n = values[0]
-        body = values[1:]
+    if text[0] != "~":
+        n = ord(text[0]) - _G6_MIN
+        body = text[1:]
     else:
-        if len(values) >= 2 and values[1] == 63:
+        if text[1:2] == "~":
             raise Graph6Error("8-byte length prefix (n > 258047) not supported")
-        if len(values) < 4:
+        if len(text) < 4:
             raise Graph6Error("truncated length prefix")
-        n = (values[1] << 12) | (values[2] << 6) | values[3]
+        high, mid, low = (ord(ch) - _G6_MIN for ch in text[1:4])
+        n = (high << 12) | (mid << 6) | low
         if n < 63:
             raise Graph6Error(f"non-canonical long prefix for n={n}")
-        body = values[4:]
+        body = text[4:]
 
     if n == 0:
         raise Graph6Error("graph6 record with zero vertices")
@@ -257,14 +273,11 @@ def parse_graph6(text: str) -> Graph:
             f"record length mismatch: n={n} needs {expected_chars} data "
             f"characters, got {len(body)}"
         )
-    bits = 0
-    for value in body:
-        bits = (bits << 6) | value
-    pad = expected_chars * 6 - nbits
+    flags = body.translate(_FLAGS).encode()
     # Padding bits of a well-formed record are zero.
-    if bits & ((1 << pad) - 1):
+    if 1 in flags[nbits:]:
         raise Graph6Error("nonzero padding bits")
-    return _graph_from_bits(n, bits >> pad)
+    return _graph_from_flags(n, flags)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import strategies as st
 
 import edgemagic.solver as solver_mod
-from edgemagic import Graph, emit_graph6, relabel
+from edgemagic import Graph, emit_graph6
+
+from oracles import relabel
 
 
 @st.composite

@@ -1,14 +1,46 @@
-"""Test oracles for the solver: every magic residue permutation, by raw walk.
+"""Test oracles: every magic residue permutation, by raw walk, and graph
+relabelling and graph6 decoding by the checked constructor.
 
-None of these shares the search's machinery (edge order, prunings, partner
-residues), so each is an independent reference to compare the engine with.
-They take time factorial in q and are meant for small graphs only.
+None of the solver oracles shares the search's machinery (edge order,
+prunings, partner residues), so each is an independent reference to compare
+the engine with.  They take time factorial in q and are meant for small
+graphs only.
 """
 
 import itertools
 
-from edgemagic import Witness, label_residues
+from edgemagic import Graph, Witness, label_residues
 from edgemagic.solver import _witness_from_residues
+
+
+def relabel(g: Graph, perm) -> Graph:
+    """Apply a vertex permutation: vertex v of g becomes perm[v]."""
+    perm = list(perm)
+    for v in perm:
+        if type(v) is not int:
+            raise ValueError(f"permutation entry {v!r} is not an int")
+    if sorted(perm) != list(range(g.p)):
+        raise ValueError(f"not a permutation of 0..{g.p - 1}: {perm}")
+    return Graph(g.p, tuple((perm[u], perm[v]) for u, v in g.edges))
+
+
+def decode_graph6_bitwise(record: str) -> Graph:
+    """The graph of a one-character-prefix graph6 record, read one bit at a
+    time: bit i of the body, most significant bit of each character first, is
+    the i-th pair of the column-by-column upper triangle."""
+    n = ord(record[0]) - 63
+    bits = []
+    for ch in record[1:]:
+        value = ord(ch) - 63
+        bits += [value >> shift & 1 for shift in range(5, -1, -1)]
+    edges = []
+    i = 0
+    for v in range(1, n):
+        for u in range(v):
+            if bits[i]:
+                edges.append((v, u))
+            i += 1
+    return Graph(n, edges)
 
 
 def magic_permutations(g, k):

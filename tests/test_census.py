@@ -22,7 +22,6 @@ from edgemagic import (
     emit_graph6,
     named_family,
     parse_graph6,
-    relabel,
     verify_labeling,
 )
 from edgemagic.census import (
@@ -44,6 +43,7 @@ from conftest import (
     random_permutation,
     record_calls,
 )
+from oracles import relabel
 
 MOP4_LINES = [emit_graph6(g) for g in generate_mops(4)]
 MOP4_ROW_JSON = (

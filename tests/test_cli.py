@@ -526,9 +526,7 @@ class TestConfiguration:
 
 class TestPublicSurface:
     # Public functions that only tests call, each kept as a reference.
-    TEST_REFERENCES = {
-        "relabel": "the tests build isomorphic copies of a graph with it",
-    }
+    TEST_REFERENCES = {}
 
     def test_every_public_function_has_a_caller(self):
         # A module-level public function of the package must be referenced by

@@ -4,6 +4,8 @@ networkx serves as the independent oracle for codec bytes and isomorphism.
 """
 
 import itertools
+import random
+import re
 
 import networkx as nx
 import pytest
@@ -17,13 +19,13 @@ from edgemagic import (
     canonical_graph,
     emit_graph6,
     parse_graph6,
-    relabel,
 )
 import edgemagic.graphs as graphs_mod
 from edgemagic.graphs import is_connected
 
 from conftest import graph_strategy as graphs
 from conftest import degree_sorted_record, random_graph, random_permutation, to_networkx
+from oracles import decode_graph6_bitwise, relabel
 
 MOP4_EDGES = [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)]
 
@@ -58,13 +60,6 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Graph(0)
 
-    def test_relabel_identity_and_inverse(self):
-        g = Graph(4, MOP4_EDGES)
-        assert relabel(g, [0, 1, 2, 3]) == g
-        perm = [2, 0, 3, 1]
-        inverse = [perm.index(i) for i in range(4)]
-        assert relabel(relabel(g, perm), inverse) == g
-
     @pytest.mark.parametrize("p,edges,bad", [
         (2.5, (), "2.5"),
         (True, (), "True"),
@@ -76,17 +71,11 @@ class TestConstruction:
         with pytest.raises(ValueError, match=bad):
             Graph(p, edges)
 
-    def test_relabel_rejects_float_permutation(self):
-        # [0.0, 1.0] == [0, 1], so the permutation check alone lets this through
-        with pytest.raises(ValueError, match="not an int"):
-            relabel(Graph(2, ((0, 1),)), [1.0, 0.0])
-
-    @pytest.mark.parametrize("perm", [[1.0, 0.0], [True, False, 2], [0, 1, 2.0]],
-                             ids=["float", "bool", "last-float"])
-    def test_relabel_rejects_non_int_permutation_of_edgeless_graph(self, perm):
-        # with no edges, no Graph vertex check sees the permutation's entries
-        with pytest.raises(ValueError, match="not an int"):
-            relabel(Graph(len(perm)), perm)
+    @pytest.mark.parametrize("edge", [1, None, (0, 1, 2), (0,)],
+                             ids=["int", "none", "triple", "single"])
+    def test_edge_that_is_not_a_pair_rejected(self, edge):
+        with pytest.raises(ValueError, match=re.escape(f"edge {edge!r} is not a pair")):
+            Graph(3, [(0, 1), edge])
 
     def test_components(self):
         g = Graph(5, [(0, 1), (3, 4)])
@@ -176,6 +165,54 @@ class TestGraph6:
     def test_bad_long_prefix_rejected(self, record, message):
         with pytest.raises(Graph6Error, match=message):
             parse_graph6(record)
+
+    @pytest.mark.parametrize("record, message", [
+        ("", "empty graph6 record"),
+        (">>graph6<<", "empty graph6 record"),
+        ("\x07", "character '\\x07' out of graph6 range 63..126"),
+        ("\udcff", "character '\\udcff' out of graph6 range 63..126"),
+        ("C\x07~\x01", "character '\\x07' out of graph6 range 63..126"),
+        ("C~~", "record length mismatch: n=4 needs 1 data characters, got 2"),
+        ("C", "record length mismatch: n=4 needs 1 data characters, got 0"),
+        ("A" + chr(63 + 0b100001), "nonzero padding bits"),
+        ("?", "graph6 record with zero vertices"),
+        ("~~" + "?" * 8, "8-byte length prefix (n > 258047) not supported"),
+        ("~?", "truncated length prefix"),
+        ("~??B", "non-canonical long prefix for n=3"),
+    ], ids=["empty", "header-only", "control", "surrogate", "first-of-two", "trailing",
+            "truncated-body", "padding", "zero-order", "8-byte-prefix", "truncated-prefix",
+            "non-canonical-prefix"])
+    def test_malformed_record_message(self, record, message):
+        with pytest.raises(Graph6Error) as raised:
+            parse_graph6(record)
+        assert str(raised.value) == message
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_every_small_record_matches_the_bitwise_oracle(self, n):
+        # Every bit pattern of orders 1-5, 1,099 records in all, through both
+        # decoders: the record's and the canonical graph's (from its bits).
+        nbits = n * (n - 1) // 2
+        pad = -nbits % 6
+        for bits in range(1 << nbits):
+            padded = bits << pad
+            body = "".join(chr(63 + (padded >> shift & 0x3F))
+                           for shift in range(nbits + pad - 6, -1, -6))
+            record = chr(63 + n) + body
+            expected = decode_graph6_bitwise(record)
+            assert parse_graph6(record) == expected
+            assert graphs_mod._graph_from_bits(n, bits) == expected
+
+    @pytest.mark.parametrize("n", [61, 62, 63, 64])
+    @pytest.mark.parametrize("density", [0.05, 0.95], ids=["sparse", "dense"])
+    def test_orders_around_the_pair_table_bound(self, n, density):
+        # The pair table covers orders up to 62; 63 and 64 generate their pairs.
+        rng = random.Random(n)
+        pairs = list(itertools.combinations(range(n), 2))
+        g = Graph(n, [pair for pair in pairs if rng.random() < density])
+        record = emit_graph6(g)
+        assert record == nx.to_graph6_bytes(to_networkx(g), header=False).decode().strip()
+        assert parse_graph6(record) == g
+        assert graphs_mod._graph_from_bits(n, graphs_mod._bits(n, g.edges)) == g
 
     def test_order_too_large_fails_before_the_body(self, monkeypatch):
         # The body of this edgeless graph would be about 5.5e9 six-bit groups.

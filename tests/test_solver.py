@@ -27,7 +27,6 @@ from edgemagic import (
     is_k_em,
     label_residues,
     parse_graph6,
-    relabel,
     verify_labeling,
     witness_to_json,
 )
@@ -37,7 +36,7 @@ from edgemagic.generators import generate_by_edge_count, generate_mops, named_fa
 from edgemagic.solver import Q_BRUTE, witness_from_dict, witness_to_dict
 
 from conftest import corrupt_solver_witnesses, graph_strategy, random_graph, record_calls
-from oracles import eager_brute_force_is_k_em, enumerate_labelings, magic_permutations
+from oracles import eager_brute_force_is_k_em, enumerate_labelings, magic_permutations, relabel
 
 DATA = Path(__file__).parent / "data"
 MOP4 = Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])
